@@ -25,8 +25,9 @@ from .supermatrix import SuperLinearSystem, SuperMatrix, berezinian, berezinian_
 from .theta import ThetaContext, build_super_theta, check_multipliers, theta
 
 
-# config-file fallbacks for fields the input JSON may omit
+# config-file fallbacks for fields the input JSON may omit, and the acceptance seed
 _CONFIG: dict = {}
+_CONFIG_KEYS = {"n_generators", "seed", "theta_N", "window_M"}
 
 
 def _apply_config(data: dict) -> dict:
@@ -225,7 +226,9 @@ def cmd_tau_elliptic(args) -> None:
 
 
 def cmd_acceptance(args) -> None:
-    summary = acceptance.run_all(seed=args.seed, echo=True)
+    # the explicit flag wins over the config file, which wins over seed 0
+    seed = args.seed if args.seed is not None else int(_CONFIG.get("seed", 0))
+    summary = acceptance.run_all(seed=seed, echo=True)
     _emit({"all_passed": summary["all_passed"], "seed": summary["seed"],
            "results": [{"name": r["name"], "passed": r["passed"], "detail": r["detail"]}
                        for r in summary["results"]]})
@@ -242,8 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="supercurves",
                                 description="super linear algebra, theta and tau computations")
     p.add_argument("--config", help="JSON config file", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, fn, needs_json=True):
@@ -294,19 +295,18 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"bad config: {exc}", file=sys.stderr)
             return 2
-        if "tolerance" in cfg and not float(cfg["tolerance"]) > 0:
-            print("bad config: tolerance must be positive", file=sys.stderr)
+        if not isinstance(cfg, dict):
+            print("bad config: expected a JSON object", file=sys.stderr)
+            return 2
+        unknown = sorted(set(cfg) - _CONFIG_KEYS)
+        if unknown:
+            print(f"bad config: unknown keys {unknown}", file=sys.stderr)
             return 2
         if "window_M" in cfg and int(cfg["window_M"]) < 4:
             print("bad config: window_M must be >= 4", file=sys.stderr)
             return 2
     _CONFIG.clear()
     _CONFIG.update(cfg)
-    # explicit flags win over the config file, which wins over defaults
-    if getattr(args, "seed", None) is None:
-        args.seed = int(cfg.get("seed", 0))
-    if args.tol is None:
-        args.tol = float(cfg.get("tolerance", 1e-9))
     try:
         args.fn(args)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:

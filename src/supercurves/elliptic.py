@@ -74,12 +74,6 @@ def _theta_ratios(ctx: ThetaContext, x: GrassmannScalar, n: int
     return r1, r2, r2 - r1 * r1
 
 
-def log_theta_second(d: SuperEllipticData, x: GrassmannScalar) -> GrassmannScalar:
-    """[log Theta_11]''(x) at the curve modulus."""
-    _, _, lt2 = _theta_ratios(d.context(), as_grassmann(x, d.n), d.n)
-    return lt2
-
-
 def baker_matrix(d: SuperEllipticData) -> SuperMatrix:
     """The (1|1) Baker matrix built from theta quotients at a and zeta - a.
 

@@ -145,18 +145,8 @@ class GrassmannScalar:
         p = self.parity()
         return p == 1 or (p == 0 and not self.terms)
 
-    def is_homogeneous(self) -> bool:
-        return self.parity() is not None
-
-    def degree(self) -> int:
-        """Largest monomial length with a stored coefficient (0 for body-only)."""
-        return max((m.bit_count() for m in self.terms), default=0)
-
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
-
-    def chop(self, tol: float = 1e-14) -> "GrassmannScalar":
-        return GrassmannScalar(self.n, {m: c for m, c in self.terms.items() if abs(c) > tol})
 
     # -- ring operations ----------------------------------------------------
     def _check_same_algebra(self, other: "GrassmannScalar") -> None:
@@ -388,13 +378,6 @@ def as_grassmann(value: Union[Scalar, GrassmannScalar], n: int) -> GrassmannScal
             raise DimensionError(f"element lives over n={value.n}, expected {n}")
         return value
     return GrassmannScalar.scalar(n, value)
-
-
-def grassmann_sum(values: Iterable[GrassmannScalar], n: int) -> GrassmannScalar:
-    acc = GrassmannScalar.zero(n)
-    for v in values:
-        acc = acc + v
-    return acc
 
 
 def random_element(rng, n: int, parity: int | None = None, scale: float = 1.0,

@@ -62,10 +62,6 @@ class PeriodData:
     def reduced(self) -> np.ndarray:
         return np.array([[e.body for e in row] for row in self.Z_e], dtype=complex)
 
-    def Z_e_transposed(self) -> Grid:
-        g = self.g
-        return [[self.Z_e[j][i] for j in range(g)] for i in range(g)]
-
     def Z_o_transposed(self) -> Grid:
         g = self.g
         return [[self.Z_o[j][i] for j in range(g)] for i in range(max(g - 1, 0))]

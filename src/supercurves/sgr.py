@@ -70,13 +70,6 @@ class TruncationWindow:
         return evens + odds
 
 
-def basis_label(d: int) -> str:
-    """Symbol of the basis vector with doubled index d."""
-    if d % 2 == 0:
-        return f"z^{d // 2}"
-    return f"z^{(d + 1) // 2}*theta"
-
-
 # -- sparse operators over the window -------------------------------------------------
 
 
@@ -162,17 +155,6 @@ class WindowOperator:
         for d in self.window.indices:
             out.add(d, d, one)
         return out
-
-    def max_band_shift(self) -> int:
-        return max((abs(r - c) for (r, c) in self.entries), default=0)
-
-
-def identity_operator(window: TruncationWindow, n: int) -> WindowOperator:
-    op = WindowOperator(window, n)
-    one = GrassmannScalar.one(n)
-    for d in window.indices:
-        op.entries[(d, d)] = one
-    return op
 
 
 def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,

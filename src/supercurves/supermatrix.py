@@ -149,11 +149,7 @@ class SuperMatrix:
         return X, alpha, beta, Y
 
     def body(self) -> np.ndarray:
-        out = np.zeros((self.nrows, self.ncols), dtype=complex)
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[i, j] = e.body
-        return out
+        return _grid_body(self.entries)
 
     def max_coeff(self) -> float:
         return max((e.norm_inf() for row in self.entries for e in row), default=0.0)
@@ -347,16 +343,20 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
     return logdet.exp() * det_body
 
 
-def invert_even(M, n: int):
-    """Inverse of a square matrix of even elements with invertible body."""
+def _neumann_inverse(M, n: int):
+    """Inverse of a square Lambda grid with invertible body: (sum_r (-N)^r) body^-1.
+
+    N = body^-1 soul is nilpotent, so the series terminates.  Private so that
+    ``invert_even`` and ``invert_matrix`` stay single, unnested calls.
+    """
     m = len(M)
     body = _grid_body(M)
     try:
         binv = np.linalg.inv(body)
     except np.linalg.LinAlgError as exc:
-        raise NotInvertibleError("reduced matrix is singular") from exc
+        raise NotInvertibleError("matrix body is singular") from exc
     if not np.all(np.isfinite(binv)):
-        raise NotInvertibleError("reduced matrix is singular")
+        raise NotInvertibleError("matrix body is singular")
     N = _scalar_mat_mul(binv, _grid_soul(M), n)
     acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
            for i in range(m)]
@@ -369,20 +369,32 @@ def invert_even(M, n: int):
     return _mat_scalar_mul(acc, binv, n)
 
 
+def invert_even(M, n: int):
+    """Inverse of a square matrix of even elements with invertible body."""
+    return _neumann_inverse(M, n)
+
+
 # -- Berezinians ----------------------------------------------------------------
 
-def berezinian(A: SuperMatrix) -> GrassmannScalar:
-    """ber(A) = det(X - alpha Y^-1 beta) det(Y)^-1 for square even A."""
+def _ber_blocks(A: SuperMatrix):
+    """Guards shared by ber and ber*; returns the blocks (X, alpha, beta, Y)."""
     if not A.is_square():
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
     k, l = A.row_shape
     X, alpha, beta, Y = A.blocks()
-    n = A.n
     if k and abs(np.linalg.det(_grid_body(X))) < _BODY_TOL ** k:
         raise NotInvertibleError("reduced even-even block is singular")
     if l and abs(np.linalg.det(_grid_body(Y))) < _BODY_TOL ** l:
         raise NotInvertibleError("reduced odd-odd block is singular")
+    return X, alpha, beta, Y
+
+
+def berezinian(A: SuperMatrix) -> GrassmannScalar:
+    """ber(A) = det(X - alpha Y^-1 beta) det(Y)^-1 for square even A."""
+    X, alpha, beta, Y = _ber_blocks(A)
+    k, l = A.row_shape
+    n = A.n
     if l == 0:
         return det_even(X, n)
     if k == 0:
@@ -394,16 +406,9 @@ def berezinian(A: SuperMatrix) -> GrassmannScalar:
 
 def berezinian_star(A: SuperMatrix) -> GrassmannScalar:
     """ber*(A) = det(X)^-1 det(Y - beta X^-1 alpha); equals ber(A)^-1."""
-    if not A.is_square():
-        raise DimensionError("Berezinian of a non-square supermatrix")
-    A.require_even()
+    X, alpha, beta, Y = _ber_blocks(A)
     k, l = A.row_shape
-    X, alpha, beta, Y = A.blocks()
     n = A.n
-    if k and abs(np.linalg.det(_grid_body(X))) < _BODY_TOL ** k:
-        raise NotInvertibleError("reduced even-even block is singular")
-    if l and abs(np.linalg.det(_grid_body(Y))) < _BODY_TOL ** l:
-        raise NotInvertibleError("reduced odd-odd block is singular")
     if k == 0:
         return det_even(Y, n)
     if l == 0:
@@ -417,33 +422,54 @@ def invert_matrix(A: SuperMatrix) -> SuperMatrix:
     """Exact inverse of a square matrix with invertible body (Neumann series)."""
     if not A.is_square():
         raise DimensionError("inverse of a non-square supermatrix")
-    m = A.nrows
-    n = A.n
-    body = A.body()
-    try:
-        binv = np.linalg.inv(body)
-    except np.linalg.LinAlgError as exc:
-        raise NotInvertibleError("matrix body is singular") from exc
-    if not np.all(np.isfinite(binv)):
-        raise NotInvertibleError("matrix body is singular")
-    S = _grid_soul(A.entries)
-    N = _scalar_mat_mul(binv, S, n)
-    acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
-           for i in range(m)]
-    power = N
-    sign = -1.0
-    while any(e.terms for row in power for e in row):
-        acc = [[a + p * sign for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-        power = _mat_mul(power, N, n)
-        sign = -sign
-    ent = _mat_scalar_mul(acc, binv, n)
-    return SuperMatrix(A.row_shape, A.col_shape, ent)
+    return SuperMatrix(A.row_shape, A.col_shape, _neumann_inverse(A.entries, A.n))
 
 
 # -- quasideterminants -----------------------------------------------------------
 
 def _same_class(A: SuperMatrix, i: int, j: int) -> bool:
     return (i < A.row_shape[0]) == (j < A.col_shape[0])
+
+
+def _quasidet_functional(A: SuperMatrix, i: int, j: int):
+    """y -> |A_i(y)|_{ij} = y_j - sum_{p!=j, q!=i} y_p c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
+
+    The column contraction sum_q c_pq a_qj is precomputed once, so each row y
+    costs one product per slot.
+    """
+    m = A.nrows
+    C = invert_matrix(A.delete(i, j))
+    corr = []
+    for p in range(m):
+        if p == j:
+            corr.append(None)
+            continue
+        pp = p - (p > j)
+        acc = GrassmannScalar.zero(A.n)
+        for q in range(m):
+            if q == i:
+                continue
+            a_qj = A.entries[q][j]
+            if not a_qj.terms:
+                continue
+            qq = q - (q > i)
+            c = C.entries[pp][qq]
+            if c.terms:
+                acc = acc + c * a_qj
+        corr.append(acc)
+
+    def evaluate(y):
+        if len(y) != m:
+            raise DimensionError("substituted row has wrong length")
+        acc = y[j]
+        for p, factor in enumerate(corr):
+            if factor is None or not factor.terms:
+                continue
+            if y[p].terms:
+                acc = acc - y[p] * factor
+        return acc
+
+    return evaluate
 
 
 def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
@@ -456,62 +482,9 @@ def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
         raise DimensionError("quasideterminant of a non-square matrix")
     if not _same_class(A, i, j):
         raise ParityError("row and column index lie in different parity classes")
-    m = A.nrows
-    if m == 1:
+    if A.nrows == 1:
         return A.entries[0][0]
-    C = invert_matrix(A.delete(i, j))
-    acc = A.entries[i][j]
-    for p in range(m):
-        if p == j:
-            continue
-        a_ip = A.entries[i][p]
-        if not a_ip.terms:
-            continue
-        pp = p - (p > j)
-        for q in range(m):
-            if q == i:
-                continue
-            a_qj = A.entries[q][j]
-            if not a_qj.terms:
-                continue
-            qq = q - (q > i)
-            c = C.entries[pp][qq]
-            if c.terms:
-                acc = acc - a_ip * c * a_qj
-    return acc
-
-
-def quasidet_substituted(A: SuperMatrix, i: int, j: int, y: Sequence[GrassmannScalar]) -> GrassmannScalar:
-    """|A_i(y)|_{ij} where row i of A has been replaced by the vector y."""
-    if not A.is_square():
-        raise DimensionError("quasideterminant of a non-square matrix")
-    if not _same_class(A, i, j):
-        raise ParityError("row and column index lie in different parity classes")
-    m = A.nrows
-    if len(y) != m:
-        raise DimensionError("substituted row has wrong length")
-    if m == 1:
-        return y[0]
-    C = invert_matrix(A.delete(i, j))
-    acc = y[j]
-    for p in range(m):
-        if p == j:
-            continue
-        y_p = y[p]
-        if not y_p.terms:
-            continue
-        pp = p - (p > j)
-        for q in range(m):
-            if q == i:
-                continue
-            a_qj = A.entries[q][j]
-            if not a_qj.terms:
-                continue
-            qq = q - (q > i)
-            c = C.entries[pp][qq]
-            if c.terms:
-                acc = acc - y_p * c * a_qj
-    return acc
+    return _quasidet_functional(A, i, j)(A.entries[i])
 
 
 def _candidate_columns(A: SuperMatrix, i: int):
@@ -533,7 +506,7 @@ def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
     """
     if i >= A.row_shape[0]:
         raise ParityError("ber substitution requires an even-class row")
-    return _substituted(A, i, y, j, star=False)
+    return substitution_functional(A, i, j=j, star=False)(y)
 
 
 def ber_star_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
@@ -541,11 +514,7 @@ def ber_star_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
     """ber*(A_i(y)) for i in the odd class (the odd-slot analog)."""
     if i < A.row_shape[0]:
         raise ParityError("ber* substitution requires an odd-class row")
-    return _substituted(A, i, y, j, star=True)
-
-
-def _substituted(A, i, y, j, star: bool):
-    return substitution_functional(A, i, j=j, star=star)(y)
+    return substitution_functional(A, i, j=j, star=True)(y)
 
 
 def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: bool = False):
@@ -555,7 +524,6 @@ def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: 
     substituted rows (as the Baker-vector formulas do) costs one inversion.
     """
     fn = berezinian_star if star else berezinian
-    m = A.nrows
     last_error: Exception | None = None
     columns = [j] if j is not None else list(_candidate_columns(A, i))
     for col in columns:
@@ -563,44 +531,12 @@ def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: 
             raise ParityError("substitution column in the wrong parity class")
         try:
             minor = fn(A.delete(i, col))
-            C = invert_matrix(A.delete(i, col))
+            qdet = _quasidet_functional(A, i, col)
         except NotInvertibleError as exc:
             last_error = exc
             continue
-        sign = -1.0 if (i + col) & 1 else 1.0
-        signed_minor = minor * sign
-        # premultiply C a_qj once: row of correction factors indexed by p != col
-        corr = []
-        for p in range(m):
-            if p == col:
-                corr.append(None)
-                continue
-            pp = p - (p > col)
-            acc = GrassmannScalar.zero(A.n)
-            for q in range(m):
-                if q == i:
-                    continue
-                a_qj = A.entries[q][col]
-                if not a_qj.terms:
-                    continue
-                qq = q - (q > i)
-                c = C.entries[pp][qq]
-                if c.terms:
-                    acc = acc + c * a_qj
-            corr.append(acc)
-
-        def evaluate(y, _corr=corr, _col=col, _signed_minor=signed_minor):
-            if len(y) != m:
-                raise DimensionError("substituted row has wrong length")
-            acc = y[_col]
-            for p, factor in enumerate(_corr):
-                if factor is None or not factor.terms:
-                    continue
-                if y[p].terms:
-                    acc = acc - y[p] * factor
-            return acc * _signed_minor
-
-        return evaluate
+        signed_minor = minor * (-1.0 if (i + col) & 1 else 1.0)
+        return lambda y: qdet(y) * signed_minor
     raise NotInvertibleError("no admissible column for the substituted Berezinian") \
         from last_error
 
@@ -641,45 +577,34 @@ def solve_cramer(system: SuperLinearSystem) -> List[GrassmannScalar]:
 
 def solve_via_inverse(system: SuperLinearSystem) -> List[GrassmannScalar]:
     """x = y A^-1, the direct route used to cross-check Cramer."""
-    Ainv = invert_matrix(system.matrix)
-    y = system.rhs
-    m = len(y)
-    n = system.matrix.n
-    out = []
-    for j in range(m):
-        acc = GrassmannScalar.zero(n)
-        for i in range(m):
-            e = Ainv.entries[i][j]
-            if e.terms and y[i].terms:
-                acc = acc + y[i] * e
-        out.append(acc)
-    return out
+    return apply_row_vector(system.rhs, invert_matrix(system.matrix))
 
 
 # -- the C-expansion oracle ---------------------------------------------------------
 
-def right_mult_operator(a: GrassmannScalar) -> np.ndarray:
-    """Matrix of x -> x*a on the 2^n monomial basis (column index = mask of x)."""
+def _mult_operator(a: GrassmannScalar, left: bool) -> np.ndarray:
+    """Matrix of x -> a*x (left) or x -> x*a on the 2^n monomial basis.
+
+    Built from merge signs directly, independent of ``GrassmannScalar.__mul__``.
+    """
     dim = 1 << a.n
     M = np.zeros((dim, dim), dtype=complex)
     for t, v in a.terms.items():
         for s in range(dim):
             if s & t:
                 continue
-            M[s | t, s] += sign_of_merge(s, t) * v
+            M[s | t, s] += (sign_of_merge(t, s) if left else sign_of_merge(s, t)) * v
     return M
+
+
+def right_mult_operator(a: GrassmannScalar) -> np.ndarray:
+    """Matrix of x -> x*a on the 2^n monomial basis (column index = mask of x)."""
+    return _mult_operator(a, left=False)
 
 
 def left_mult_operator(a: GrassmannScalar) -> np.ndarray:
     """Matrix of x -> a*x on the 2^n monomial basis."""
-    dim = 1 << a.n
-    M = np.zeros((dim, dim), dtype=complex)
-    for t, v in a.terms.items():
-        for s in range(dim):
-            if s & t:
-                continue
-            M[s | t, s] += sign_of_merge(t, s) * v
-    return M
+    return _mult_operator(a, left=True)
 
 
 def expand_vector(vs: Sequence[GrassmannScalar], n: int) -> np.ndarray:

@@ -109,9 +109,7 @@ def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, List[Gr
     zs: List[GrassmannScalar] = []
     z0 = np.zeros(g, dtype=complex)
     for j, v in enumerate(z):
-        gv = v if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
-        if gv.n != n:
-            gv = GrassmannScalar(n, gv.terms)  # embed into the larger algebra
+        gv = v.embed(n) if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
         if gv.terms and gv.parity() != 0:
             raise ParityError("theta arguments must be even elements")
         z0[j] = gv.body
@@ -127,8 +125,7 @@ def _soul_basis(ctx: ThetaContext, zs: List[GrassmannScalar], P: np.ndarray, n: 
             for k in range(ctx.genus):
                 e = ctx.Z_soul[j][k]
                 if e.terms:
-                    basis.append((e if e.n == n else GrassmannScalar(n, e.terms),
-                                  PI_I * P[:, j] * P[:, k]))
+                    basis.append((e.embed(n), PI_I * P[:, j] * P[:, k]))
     for j, e in enumerate(zs):
         if e.terms:
             basis.append((e, TWO_PI_I * P[:, j]))
@@ -164,27 +161,44 @@ def _taylor_sum(n: int, basis, weights: np.ndarray) -> GrassmannScalar:
     return total
 
 
+def _lattice_sum(ctx: ThetaContext, z: Sequence, weight=None) -> GrassmannScalar:
+    """sum_n w(n) exp(pi i n^t Z n + 2 pi i n^t z) over the truncated lattice.
+
+    ``weight`` maps the lattice points P to their weights w (all ones when
+    None); the nilpotent parts of z and Z are expanded exactly.
+    """
+    z0, zs, n = _split_argument(ctx, z)
+    P = ctx.lattice()
+    _, b_off = ctx._char_offsets()
+    quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
+    lin = P @ (z0 + b_off)
+    c = np.exp(PI_I * quad + TWO_PI_I * lin)
+    if weight is not None:
+        c = c * weight(P)
+    basis = _soul_basis(ctx, zs, P, n)
+    return _taylor_sum(n, basis, c)
+
+
 def theta(ctx: ThetaContext, z: Sequence, deriv: Sequence[int] | None = None) -> GrassmannScalar:
     """Truncated lattice sum, exact in the nilpotent directions.
 
     ``deriv`` is an optional z-derivative multi-index applied term by term.
     """
-    z0, zs, n = _split_argument(ctx, z)
-    P = ctx.lattice()
-    a_off, b_off = ctx._char_offsets()
-    quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
-    lin = P @ (z0 + b_off)
-    c = np.exp(PI_I * quad + TWO_PI_I * lin)
-    if deriv is not None:
-        if len(deriv) != ctx.genus:
-            raise DimensionError("derivative multi-index has wrong length")
-        if sum(deriv) > _MAX_DERIVATIVE_ORDER:
-            raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
+    if deriv is None:
+        return _lattice_sum(ctx, z)
+    if len(deriv) != ctx.genus:
+        raise DimensionError("derivative multi-index has wrong length")
+    if sum(deriv) > _MAX_DERIVATIVE_ORDER:
+        raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
+
+    def weight(P):
+        w = np.ones(len(P), dtype=complex)
         for j, mj in enumerate(deriv):
             for _ in range(mj):
-                c = c * (TWO_PI_I * P[:, j])
-    basis = _soul_basis(ctx, zs, P, n)
-    return _taylor_sum(n, basis, c)
+                w = w * (TWO_PI_I * P[:, j])
+        return w
+
+    return _lattice_sum(ctx, z, weight)
 
 
 def theta_derivative(ctx: ThetaContext, z: Sequence, order: Sequence[int]) -> GrassmannScalar:
@@ -195,14 +209,7 @@ def theta_derivative(ctx: ThetaContext, z: Sequence, order: Sequence[int]) -> Gr
 def theta_Z_derivative(ctx: ThetaContext, z: Sequence, jk: Tuple[int, int]) -> GrassmannScalar:
     """d Theta / d Z_jk in the independent-entry convention (factor pi i n_j n_k)."""
     j, k = jk
-    z0, zs, n = _split_argument(ctx, z)
-    P = ctx.lattice()
-    _, b_off = ctx._char_offsets()
-    quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
-    lin = P @ (z0 + b_off)
-    c = np.exp(PI_I * quad + TWO_PI_I * lin) * (PI_I * P[:, j] * P[:, k])
-    basis = _soul_basis(ctx, zs, P, n)
-    return _taylor_sum(n, basis, c)
+    return _lattice_sum(ctx, z, lambda P: PI_I * P[:, j] * P[:, k])
 
 
 # -- super theta functions ---------------------------------------------------------
@@ -291,9 +298,7 @@ def build_super_theta(ctx: ThetaContext, Z_o: List[List[GrassmannScalar]] | None
         for m, coeff in terms.items():
             add(m, eta * coeff)
             for k in range(g):
-                zk = Z_o[k][alpha] if Z_o is not None else GrassmannScalar.zero(n)
-                if zk.n != n:
-                    zk = GrassmannScalar(n, zk.terms)
+                zk = Z_o[k][alpha].embed(n) if Z_o is not None else GrassmannScalar.zero(n)
                 if zk.terms:
                     m2 = list(m)
                     m2[k] += 1
@@ -327,8 +332,7 @@ def check_multipliers(f: SuperThetaFunction, z: Sequence,
         for j in range(g):
             zij = GrassmannScalar.scalar(n, complex(ctx.Z_red[i, j]))
             if ctx.Z_soul is not None and ctx.Z_soul[i][j].terms:
-                soul = ctx.Z_soul[i][j]
-                zij = zij + (soul if soul.n == n else GrassmannScalar(n, soul.terms))
+                zij = zij + ctx.Z_soul[i][j].embed(n)
             z2.append(zg[j] + zij)
         images: Dict[int, GrassmannScalar] = {}
         if eta_images:
@@ -337,14 +341,10 @@ def check_multipliers(f: SuperThetaFunction, z: Sequence,
             for alpha in range(g - 1):
                 gen = f.eta_gens[alpha]
                 cur = images.get(gen, GrassmannScalar.generator(n, gen))
-                zo = f.Z_o[i][alpha]
-                if zo.n != n:
-                    zo = GrassmannScalar(n, zo.terms)
-                images[gen] = cur + zo
+                images[gen] = cur + f.Z_o[i][alpha].embed(n)
         z_ii = GrassmannScalar.scalar(n, complex(ctx.Z_red[i, i]))
         if ctx.Z_soul is not None and ctx.Z_soul[i][i].terms:
-            soul = ctx.Z_soul[i][i]
-            z_ii = z_ii + (soul if soul.n == n else GrassmannScalar(n, soul.terms))
+            z_ii = z_ii + ctx.Z_soul[i][i].embed(n)
         exponent = (zg[i] * 2.0 + z_ii) * (-PI_I)
         factor = exponent.exp()
         lhs = f.evaluate(z2, images if images else None)

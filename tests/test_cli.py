@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from supercurves.cli import main
 
 MATRIX_11 = {
@@ -111,3 +113,96 @@ def test_sgr_tau_subcommand():
     assert proc.returncode == 0
     out = json.loads(proc.stdout)
     assert out["finite"] and out["tau"]["terms"] == [{"im": 0.0, "mask": [], "re": 1.0}]
+
+
+# -- seed and config handling, in process ------------------------------------------
+
+
+def _capture_seed(monkeypatch):
+    from supercurves import acceptance
+
+    seen = []
+
+    def fake_run_all(seed=0, echo=True):
+        seen.append(seed)
+        return {"all_passed": True, "seed": seed, "results": []}
+
+    monkeypatch.setattr(acceptance, "run_all", fake_run_all)
+    return seen
+
+
+def _write_json(path, obj):
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_acceptance_seed_flag_reaches_run_all(monkeypatch, tmp_path, capsys):
+    seen = _capture_seed(monkeypatch)
+    assert main(["acceptance", "--seed", "7"]) == 0
+    cfg = _write_json(tmp_path / "cfg.json", {"seed": 11})
+    assert main(["--config", cfg, "acceptance", "--seed", "7"]) == 0
+    assert seen == [7, 7]
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["seed"] == 7
+
+
+def test_acceptance_seed_from_config(monkeypatch, tmp_path):
+    seen = _capture_seed(monkeypatch)
+    cfg = _write_json(tmp_path / "cfg.json", {"seed": 11})
+    assert main(["--config", cfg, "acceptance"]) == 0
+    assert main(["acceptance"]) == 0
+    assert seen == [11, 0]
+
+
+def test_seed_before_subcommand_is_rejected(monkeypatch):
+    seen = _capture_seed(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "5", "acceptance"])
+    assert exc.value.code == 2
+    assert seen == []
+
+
+def test_config_rejects_unread_keys(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"tolerance": 1e-9})
+    assert main(["--config", cfg, "rr", "--degL", "1", "--g", "2"]) == 2
+
+
+def test_config_rejects_small_window(tmp_path):
+    cfg = _write_json(tmp_path / "cfg.json", {"window_M": 3})
+    assert main(["--config", cfg, "rr", "--degL", "1", "--g", "2"]) == 2
+
+
+def test_config_fills_theta_N(tmp_path, capsys):
+    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
+    plain = _write_json(tmp_path / "plain.json", data)
+    explicit = _write_json(tmp_path / "explicit.json", {**data, "N": 1})
+    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
+    outs = []
+    for argv in (["--config", cfg, "theta", "--json", plain], ["theta", "--json", explicit],
+                 ["theta", "--json", plain]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert outs[0] != outs[2]
+
+
+def test_config_fills_window_M(tmp_path, capsys):
+    M = 4
+    window_indices = list(range(-2 * M + 1, 2 * M + 1))
+    neg = [d for d in window_indices if d <= 0]
+    one = {"n": 2, "terms": [{"mask": [], "re": 1, "im": 0}]}
+    zero = {"n": 2, "terms": []}
+    frame = [[one if rd == cd else zero for cd in neg] for rd in window_indices]
+    data = {"n": 2, "frame": frame,
+            "flows": {"2": {"n": 2, "terms": [{"mask": [], "re": 0.3, "im": 0}]}}}
+    plain = _write_json(tmp_path / "plain.json", data)
+    explicit = _write_json(tmp_path / "explicit.json", {**data, "window_M": M})
+    cfg = _write_json(tmp_path / "cfg.json", {"window_M": M})
+    assert main(["sgr-tau", "--json", plain]) == 2
+    capsys.readouterr()
+    outs = []
+    for argv in (["--config", cfg, "sgr-tau", "--json", plain],
+                 ["sgr-tau", "--json", explicit]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["diagnostics"]["window_M"] == M

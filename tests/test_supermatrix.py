@@ -160,15 +160,25 @@ def test_invert_matrix_examples():
     assert (Ainv @ A).isclose(SuperMatrix.identity((1, 1), N), 1e-13)
 
 
-def test_inverse_entries_are_quasidet_inverses(rng):
+@pytest.mark.parametrize("shape", [(2, 1), (3, 3)], ids=["2x1", "3x3"])
+def test_inverse_entries_are_quasidet_inverses(rng, shape):
     n = 4
-    A = random_even_matrix(rng, (2, 1), n)
+    k = shape[0]
+    m = sum(shape)
+    A = random_even_matrix(rng, shape, n)
     B = invert_matrix(A)
-    for i in range(3):
-        for j in range(3):
-            if (i < 2) != (j < 2):
+    ber_A = berezinian(A)
+    ber_star_A = berezinian_star(A)
+    for i in range(m):
+        for j in range(m):
+            if (i < k) != (j < k):
                 continue  # mixed-parity quasidets do not exist over Lambda
             q = quasideterminant(A, j, i)
+            # (-1)^{i+j} |A|_ji ber(A^{ji}) = ber(A), with ber* in the odd class
+            ber = berezinian if j < k else berezinian_star
+            whole = ber_A if j < k else ber_star_A
+            sign = -1.0 if (i + j) & 1 else 1.0
+            assert (q * ber(A.delete(j, i)) * sign - whole).norm_inf() < 1e-9
             if abs(q.body) < 1e-6:
                 continue
             assert (B.entries[i][j] - q.invert()).norm_inf() < 1e-8
