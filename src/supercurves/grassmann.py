@@ -9,11 +9,16 @@ monomial structure; only the complex coefficients are floating point.
 The number of generators is configuration (the underlying theory never fixes
 it) and is capped at 16 so that dense expansions over the 2^n monomial basis
 stay tractable.
+
+Matrices over Lambda are grids: lists of rows of elements.  Every product of
+two grids goes through ``grid_mul``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Union
+
+import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, ParityError
 
@@ -396,3 +401,45 @@ def random_element(rng, n: int, parity: int | None = None, scale: float = 1.0,
     if body is not None:
         terms[0] = complex(body)
     return GrassmannScalar(n, terms)
+
+
+# -- grids: matrices over Lambda as lists of rows ------------------------------------
+
+Grid = List[List[GrassmannScalar]]
+
+
+def grid_zeros(rows: int, cols: int, n: int) -> Grid:
+    return [[GrassmannScalar.zero(n) for _ in range(cols)] for _ in range(rows)]
+
+
+def grid_mul(A: Sequence[Sequence], B: Sequence[Sequence], n: int) -> Grid:
+    """The grid product A B, keeping the left/right order of every entry product.
+
+    Either operand may be a grid of plain complex numbers, which are central;
+    pass a numpy matrix as ``.tolist()``, since a numpy scalar on the left of a
+    product takes numpy's slow object path.  Only pairs of nonzero entries are
+    multiplied.  The output width is read from B's first row, so B must have
+    at least one row unless A has none.
+    """
+    if any(len(row) != len(B) for row in A):
+        raise DimensionError("inner dimension mismatch")
+    cols = len(B[0]) if B else 0
+    # nonzero entries of each row of B, filtered once rather than per product
+    nonzero = [[(j, b) for j, b in enumerate(row)
+                if (b.terms if isinstance(b, GrassmannScalar) else b != 0)] for row in B]
+    out = grid_zeros(len(A), cols, n)
+    for Ai, Oi in zip(A, out):
+        for a, Br in zip(Ai, nonzero):
+            if isinstance(a, GrassmannScalar):
+                if a.terms:
+                    for j, b in Br:
+                        Oi[j] = Oi[j] + a * b
+            elif a != 0:
+                for j, b in Br:
+                    Oi[j] = Oi[j] + b * a
+    return out
+
+
+def grid_body(G: Sequence[Sequence[GrassmannScalar]], cols: int) -> np.ndarray:
+    """The complex matrix of the bodies of a grid with ``cols`` columns."""
+    return np.array([[e.body for e in row] for row in G], dtype=complex).reshape(len(G), cols)

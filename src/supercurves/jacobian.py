@@ -20,16 +20,28 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParityError
-from .grassmann import GrassmannScalar, as_grassmann
+from .grassmann import Grid, GrassmannScalar, as_grassmann, grid_body, grid_mul, grid_zeros
 from .supermatrix import SuperMatrix, left_mult_operator
-
-Grid = List[List[GrassmannScalar]]
 
 
 def _coerce_grid(rows: int, cols: int, data, n: int) -> Grid:
     if len(data) != rows or any(len(r) != cols for r in data):
         raise DimensionError(f"grid must be {rows}x{cols}")
     return [[as_grassmann(e, n) for e in row] for row in data]
+
+
+def _transpose(G: Grid) -> Grid:
+    return [list(col) for col in zip(*G)]
+
+
+def _apply(M: Grid, v: Sequence[GrassmannScalar], n: int) -> List[GrassmannScalar]:
+    """The column vector M v."""
+    return [row[0] for row in grid_mul(M, [[x] for x in v], n)]
+
+
+def _antisymmetric_part(pd: "PeriodData") -> Grid:
+    """Z_e - Z_e^t."""
+    return [[a - b for a, b in zip(row, col)] for row, col in zip(pd.Z_e, zip(*pd.Z_e))]
 
 
 @dataclass
@@ -55,16 +67,15 @@ class PeriodData:
             for e in row:
                 if e.terms and (e.parity() != 1 or e.body != 0):
                     raise ParityError("Z_o entries must be odd (zero body)")
-        im = np.array([[e.body for e in row] for row in self.Z_e]).imag
+        im = grid_body(self.Z_e, g).imag
         if g and float(np.linalg.eigvalsh((im + im.T) / 2.0).min()) <= 0:
             raise DomainError("Im reduce(Z_e) is not positive definite")
 
     def reduced(self) -> np.ndarray:
-        return np.array([[e.body for e in row] for row in self.Z_e], dtype=complex)
+        return grid_body(self.Z_e, self.g)
 
     def Z_o_transposed(self) -> Grid:
-        g = self.g
-        return [[self.Z_o[j][i] for j in range(g)] for i in range(max(g - 1, 0))]
+        return _transpose(self.Z_o)
 
 
 @dataclass
@@ -87,19 +98,9 @@ class DualPeriodVector:
         for v in a:
             if v.terms and v.parity() != 1:
                 raise ParityError("dual a-periods must be odd")
-        for al in range(g - 1):
-            acc = GrassmannScalar.zero(n)
-            for j in range(g):
-                acc = acc + pd.Z_o[j][al] * a[j]
-            if acc.norm_inf() > tol:
-                raise DomainError("a-periods do not lie in Ker(Z_o^t)")
-        b = []
-        for i in range(g):
-            acc = GrassmannScalar.zero(n)
-            for j in range(g):
-                acc = acc + pd.Z_e[j][i] * a[j]
-            b.append(acc)
-        return cls(a=a, b=b)
+        if any(v.norm_inf() > tol for v in _apply(pd.Z_o_transposed(), a, n)):
+            raise DomainError("a-periods do not lie in Ker(Z_o^t)")
+        return cls(a=a, b=_apply(_transpose(pd.Z_e), a, n))
 
 
 def full_period_matrix(pd: PeriodData) -> Grid:
@@ -114,9 +115,8 @@ def full_period_matrix(pd: PeriodData) -> Grid:
 
 def intersection_form(g: int, n: int) -> Grid:
     """I = [[0, -1_g], [1_g, 0]] on the symplectic homology basis."""
-    zero = GrassmannScalar.zero(n)
     one = GrassmannScalar.one(n)
-    M = [[zero for _ in range(2 * g)] for _ in range(2 * g)]
+    M = grid_zeros(2 * g, 2 * g, n)
     for i in range(g):
         M[i][g + i] = -one
         M[g + i][i] = one
@@ -134,13 +134,9 @@ def connecting_map(pd: PeriodData, via_full_matrix: bool = False) -> SuperMatrix
     if via_full_matrix:
         Pi = full_period_matrix(pd)
         I = intersection_form(g, n)
-        Pit = [[Pi[r][c] for r in range(2 * g)] for c in range(m)]
-        from .supermatrix import _mat_mul  # internal raw-grid product
-
-        Q = _mat_mul(_mat_mul(Pit, I, n), Pi, n)
+        Q = grid_mul(grid_mul(_transpose(Pi), I, n), Pi, n)
     else:
-        zero = GrassmannScalar.zero(n)
-        Q = [[zero for _ in range(m)] for _ in range(m)]
+        Q = grid_zeros(m, m, n)
         for a in range(g - 1):
             for j in range(g):
                 Q[a][g - 1 + j] = pd.Z_o[j][a]          # Z_o^t block
@@ -281,15 +277,8 @@ def pair_relation_check(pd: PeriodData, a_omega: Sequence[GrassmannScalar],
     g, n = pd.g, pd.n
     if len(a_omega) != g or len(A_vec) != max(g - 1, 0):
         raise DimensionError("period vector lengths do not match the genus")
-    out = []
-    for i in range(g):
-        acc = GrassmannScalar.zero(n)
-        for j in range(g):
-            acc = acc + (pd.Z_e[i][j] - pd.Z_e[j][i]) * as_grassmann(a_omega[j], n)
-        for al in range(g - 1):
-            acc = acc + pd.Z_o[i][al] * as_grassmann(A_vec[al], n)
-        out.append(acc)
-    return out
+    left = [anti + zo for anti, zo in zip(_antisymmetric_part(pd), pd.Z_o)]
+    return _apply(left, [as_grassmann(v, n) for v in (*a_omega, *A_vec)], n)
 
 
 def construct_bilinear_pair(pd: PeriodData, rng=None):
@@ -301,7 +290,7 @@ def construct_bilinear_pair(pd: PeriodData, rng=None):
     """
     g, n = pd.g, pd.n
     dim = 1 << n
-    anti = [[pd.Z_e[i][j] - pd.Z_e[j][i] for j in range(g)] for i in range(g)]
+    anti = _antisymmetric_part(pd)
     top = np.concatenate([expand_left_map(anti, n), expand_left_map(pd.Z_o, n)], axis=1) \
         if g > 1 else expand_left_map(anti, n)
     bot_a = expand_left_map(pd.Z_o_transposed(), n) if g > 1 else np.zeros((0, g * dim))
@@ -340,21 +329,9 @@ def construct_bilinear_pair(pd: PeriodData, rng=None):
 
     a = scatter(0, g, odd)
     A = scatter(g * half, g - 1, even) if g > 1 else []
-    b = []
-    for i in range(g):
-        acc = GrassmannScalar.zero(n)
-        for j in range(g):
-            acc = acc + pd.Z_e[i][j] * a[j]
-        for al in range(g - 1):
-            acc = acc + pd.Z_o[i][al] * A[al]
-        b.append(acc)
+    b = _apply([ze + zo for ze, zo in zip(pd.Z_e, pd.Z_o)], a + A, n)
     a_hat = [-ai for ai in a]
-    b_hat = []
-    for i in range(g):
-        acc = GrassmannScalar.zero(n)
-        for j in range(g):
-            acc = acc + pd.Z_e[j][i] * a_hat[j]
-        b_hat.append(acc)
+    b_hat = _apply(_transpose(pd.Z_e), a_hat, n)
     return a, b, a_hat, b_hat, A
 
 

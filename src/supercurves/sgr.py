@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import BigCellError, DimensionError, DomainError, ParityError
-from .grassmann import GrassmannScalar, as_grassmann
+from .grassmann import GrassmannScalar, as_grassmann, grid_body, grid_mul
 from .supermatrix import (
     SuperMatrix,
     berezinian,
@@ -311,7 +311,7 @@ class TruncatedFrame:
     def body_rank_defect(self) -> int:
         neg = self.window.neg_indices
         rows = [self.entries[self.window.indices.index(d)] for d in neg]
-        body = np.array([[e.body for e in row] for row in rows], dtype=complex)
+        body = grid_body(rows, len(neg))
         return len(neg) - int(np.linalg.matrix_rank(body, tol=1e-9))
 
 
@@ -338,27 +338,6 @@ def apply_operator(op: WindowOperator, frame: TruncatedFrame) -> TruncatedFrame:
             e = src[j]
             if e.terms:
                 dst[j] = dst[j] + v * e
-    return TruncatedFrame(window, n, out)
-
-
-def frame_change_columns(frame: TruncatedFrame, T: List[List[GrassmannScalar]]) -> TruncatedFrame:
-    """frame . T for a square column transition over the neg indices (window order)."""
-    window = frame.window
-    cols = len(window.neg_indices)
-    n = frame.n
-    out = []
-    for row in frame.entries:
-        new_row = [GrassmannScalar.zero(n) for _ in range(cols)]
-        for r in range(cols):
-            e = row[r]
-            if not e.terms:
-                continue
-            Tr = T[r]
-            for j in range(cols):
-                t = Tr[j]
-                if t.terms:
-                    new_row[j] = new_row[j] + e * t
-        out.append(new_row)
     return TruncatedFrame(window, n, out)
 
 
@@ -432,7 +411,7 @@ def big_cell_test(frame: TruncatedFrame) -> Tuple[bool, TruncatedFrame | None]:
     for super_pos, win_pos in enumerate(perm):
         inv_perm[win_pos] = super_pos
     T = [[Ainv.entries[inv_perm[r]][inv_perm[c]] for c in range(cols)] for r in range(cols)]
-    return True, frame_change_columns(frame, T)
+    return True, TruncatedFrame(frame.window, frame.n, grid_mul(frame.entries, T, frame.n))
 
 
 @dataclass

@@ -12,13 +12,14 @@ monomial basis of the coefficient algebra.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, ParityError
-from .grassmann import GrassmannScalar, sign_of_merge
+from .grassmann import GrassmannScalar, grid_body, grid_mul, grid_zeros, sign_of_merge
 
 Shape = Tuple[int, int]
 
@@ -57,10 +58,7 @@ class SuperMatrix:
 
     @classmethod
     def zero(cls, row_shape: Shape, col_shape: Shape, n: int) -> "SuperMatrix":
-        rows = row_shape[0] + row_shape[1]
-        cols = col_shape[0] + col_shape[1]
-        ent = [[GrassmannScalar.zero(n) for _ in range(cols)] for _ in range(rows)]
-        return cls(row_shape, col_shape, ent)
+        return cls(row_shape, col_shape, grid_zeros(sum(row_shape), sum(col_shape), n))
 
     # -- shape helpers -------------------------------------------------------
     @property
@@ -115,7 +113,7 @@ class SuperMatrix:
         if self.col_shape != other.row_shape:
             raise DimensionError("inner shapes differ in product")
         return SuperMatrix(self.row_shape, other.col_shape,
-                           _mat_mul(self.entries, other.entries, self.n))
+                           grid_mul(self.entries, other.entries, self.n))
 
     def row(self, i: int) -> List[GrassmannScalar]:
         return list(self.entries[i])
@@ -149,7 +147,7 @@ class SuperMatrix:
         return X, alpha, beta, Y
 
     def body(self) -> np.ndarray:
-        return _grid_body(self.entries)
+        return grid_body(self.entries, self.ncols)
 
     def max_coeff(self) -> float:
         return max((e.norm_inf() for row in self.entries for e in row), default=0.0)
@@ -176,84 +174,28 @@ class SuperMatrix:
 
 # -- raw grid helpers ----------------------------------------------------------
 
-def _zeros(rows: int, cols: int, n: int) -> List[List[GrassmannScalar]]:
-    return [[GrassmannScalar.zero(n) for _ in range(cols)] for _ in range(rows)]
-
-
-def _mat_mul(A, B, n: int):
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    if A and len(A[0]) != inner:
-        raise DimensionError("inner dimension mismatch")
-    out = _zeros(rows, cols, n)
-    for i in range(rows):
-        Ai = A[i]
-        Oi = out[i]
-        for r in range(inner):
-            a = Ai[r]
-            if not a.terms:
-                continue
-            Br = B[r]
-            for j in range(cols):
-                b = Br[j]
-                if b.terms:
-                    Oi[j] = Oi[j] + a * b
-    return out
-
-
-def _scalar_mat_mul(C: np.ndarray, G, n: int):
-    """Complex matrix times Grassmann grid (complex scalars are central)."""
-    rows, inner = C.shape
-    cols = len(G[0]) if G else 0
-    out = _zeros(rows, cols, n)
-    for i in range(rows):
-        Oi = out[i]
-        for r in range(inner):
-            c = C[i, r]
-            if c == 0:
-                continue
-            Gr = G[r]
-            for j in range(cols):
-                g = Gr[j]
-                if g.terms:
-                    Oi[j] = Oi[j] + g * c
-    return out
-
-
-def _mat_scalar_mul(G, C: np.ndarray, n: int):
-    """Grassmann grid times complex matrix."""
-    rows = len(G)
-    inner, cols = C.shape
-    out = _zeros(rows, cols, n)
-    for i in range(rows):
-        Gi = G[i]
-        Oi = out[i]
-        for r in range(inner):
-            g = Gi[r]
-            if not g.terms:
-                continue
-            for j in range(cols):
-                c = C[r, j]
-                if c != 0:
-                    Oi[j] = Oi[j] + g * c
-    return out
-
-
-def _grid_body(G) -> np.ndarray:
-    rows = len(G)
-    cols = len(G[0]) if rows else 0
-    out = np.zeros((rows, cols), dtype=complex)
-    for i, row in enumerate(G):
-        for j, e in enumerate(row):
-            out[i, j] = e.body
-    return out
-
-
 def _grid_soul(G):
     return [[e.soul() for e in row] for row in G]
 
 
 def _grid_sub(A, B):
     return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def _require_invertible_body(body: np.ndarray, what: str) -> None:
+    """Raise NotInvertibleError unless sigma_min(body) > _BODY_TOL * sigma_max(body).
+
+    The one invertibility test for bodies: relative, so blind to scale, and
+    catching a nearly singular direction whatever the size of the matrix.
+    """
+    if body.size == 0:
+        return
+    if not np.isfinite(body).all():
+        raise NotInvertibleError(f"{what} is not finite")
+    s = np.linalg.svd(body, compute_uv=False)
+    if s[-1] <= _BODY_TOL * s[0]:
+        cond = s[0] / s[-1] if s[-1] else math.inf
+        raise NotInvertibleError(f"{what} is singular (condition number {cond:.3g})")
 
 
 def _require_even_entries(M) -> None:
@@ -318,12 +260,12 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
     if any(len(r) != m for r in M):
         raise DimensionError("determinant of a non-square matrix")
     _require_even_entries(M)
-    body = _grid_body(M)
-    det_body = complex(np.linalg.det(body)) if m else 1.0 + 0j
-    scale = max(1.0, float(np.abs(body).max(initial=0.0)))
-    if abs(det_body) <= (_BODY_TOL * scale) ** m:
+    body = grid_body(M, m)
+    try:
+        _require_invertible_body(body, "matrix body")
+    except NotInvertibleError:
         return det_even_laplace(M, n)
-    N = _scalar_mat_mul(np.linalg.inv(body), _grid_soul(M), n)
+    N = grid_mul(np.linalg.inv(body).tolist(), _grid_soul(M), n)
     # tr(N^r) until the power dies; even souls have degree >= 2 so this is short
     logdet = GrassmannScalar.zero(n)
     power = N
@@ -339,8 +281,8 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
         r += 1
         if r > max(1, n):
             break
-        power = _mat_mul(power, N, n)
-    return logdet.exp() * det_body
+        power = grid_mul(power, N, n)
+    return logdet.exp() * complex(np.linalg.det(body))
 
 
 def _neumann_inverse(M, n: int):
@@ -350,23 +292,19 @@ def _neumann_inverse(M, n: int):
     ``invert_even`` and ``invert_matrix`` stay single, unnested calls.
     """
     m = len(M)
-    body = _grid_body(M)
-    try:
-        binv = np.linalg.inv(body)
-    except np.linalg.LinAlgError as exc:
-        raise NotInvertibleError("matrix body is singular") from exc
-    if not np.all(np.isfinite(binv)):
-        raise NotInvertibleError("matrix body is singular")
-    N = _scalar_mat_mul(binv, _grid_soul(M), n)
+    body = grid_body(M, m)
+    _require_invertible_body(body, "matrix body")
+    binv = np.linalg.inv(body).tolist()
+    N = grid_mul(binv, _grid_soul(M), n)
     acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
            for i in range(m)]
     power = N
     sign = -1.0
     while any(e.terms for row in power for e in row):
         acc = [[a + p * sign for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-        power = _mat_mul(power, N, n)
+        power = grid_mul(power, N, n)
         sign = -sign
-    return _mat_scalar_mul(acc, binv, n)
+    return grid_mul(acc, binv, n)
 
 
 def invert_even(M, n: int):
@@ -383,10 +321,8 @@ def _ber_blocks(A: SuperMatrix):
     A.require_even()
     k, l = A.row_shape
     X, alpha, beta, Y = A.blocks()
-    if k and abs(np.linalg.det(_grid_body(X))) < _BODY_TOL ** k:
-        raise NotInvertibleError("reduced even-even block is singular")
-    if l and abs(np.linalg.det(_grid_body(Y))) < _BODY_TOL ** l:
-        raise NotInvertibleError("reduced odd-odd block is singular")
+    _require_invertible_body(grid_body(X, k), "reduced even-even block")
+    _require_invertible_body(grid_body(Y, l), "reduced odd-odd block")
     return X, alpha, beta, Y
 
 
@@ -400,7 +336,7 @@ def berezinian(A: SuperMatrix) -> GrassmannScalar:
     if k == 0:
         return det_even(Y, n).invert()
     Yinv = invert_even(Y, n)
-    schur = _grid_sub(X, _mat_mul(_mat_mul(alpha, Yinv, n), beta, n))
+    schur = _grid_sub(X, grid_mul(grid_mul(alpha, Yinv, n), beta, n))
     return det_even(schur, n) * det_even(Y, n).invert()
 
 
@@ -414,7 +350,7 @@ def berezinian_star(A: SuperMatrix) -> GrassmannScalar:
     if l == 0:
         return det_even(X, n).invert()
     Xinv = invert_even(X, n)
-    schur = _grid_sub(Y, _mat_mul(_mat_mul(beta, Xinv, n), alpha, n))
+    schur = _grid_sub(Y, grid_mul(grid_mul(beta, Xinv, n), alpha, n))
     return det_even(X, n).invert() * det_even(schur, n)
 
 
@@ -439,35 +375,15 @@ def _quasidet_functional(A: SuperMatrix, i: int, j: int):
     """
     m = A.nrows
     C = invert_matrix(A.delete(i, j))
-    corr = []
-    for p in range(m):
-        if p == j:
-            corr.append(None)
-            continue
-        pp = p - (p > j)
-        acc = GrassmannScalar.zero(A.n)
-        for q in range(m):
-            if q == i:
-                continue
-            a_qj = A.entries[q][j]
-            if not a_qj.terms:
-                continue
-            qq = q - (q > i)
-            c = C.entries[pp][qq]
-            if c.terms:
-                acc = acc + c * a_qj
-        corr.append(acc)
+    column = [[row[j]] for q, row in enumerate(A.entries) if q != i]
+    corr = grid_mul(C.entries, column, A.n)
+    # a zero row at slot j, so that y enters whole and B is never empty
+    corr.insert(j, [GrassmannScalar.zero(A.n)])
 
     def evaluate(y):
         if len(y) != m:
             raise DimensionError("substituted row has wrong length")
-        acc = y[j]
-        for p, factor in enumerate(corr):
-            if factor is None or not factor.terms:
-                continue
-            if y[p].terms:
-                acc = acc - y[p] * factor
-        return acc
+        return y[j] - grid_mul([y], corr, A.n)[0][0]
 
     return evaluate
 
@@ -659,17 +575,7 @@ def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
 
 def apply_row_vector(x: Sequence[GrassmannScalar], A: SuperMatrix) -> List[GrassmannScalar]:
     """(x A)_j = sum_i x_i a_ij, keeping the left/right order."""
-    m = A.nrows
-    n = A.n
-    out = []
-    for j in range(A.ncols):
-        acc = GrassmannScalar.zero(n)
-        for i in range(m):
-            a = A.entries[i][j]
-            if a.terms and x[i].terms:
-                acc = acc + x[i] * a
-        out.append(acc)
-    return out
+    return grid_mul([x], A.entries, A.n)[0]
 
 
 # -- random generation (tests and the acceptance sweep) ------------------------------

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercurves.errors import DimensionError, NotInvertibleError, ParityError
-from supercurves.grassmann import GrassmannScalar, RealStructure, random_element
+from supercurves.grassmann import GrassmannScalar, RealStructure, grid_mul, random_element
+from supercurves.supermatrix import left_mult_operator
 
 N = 3
 
@@ -167,3 +168,53 @@ def test_json_roundtrip(rng):
 def test_json_format_matches_contract():
     a = GrassmannScalar(2, {0b11: 1j})
     assert a.to_json() == {"n": 2, "terms": [{"mask": [1, 2], "re": 0.0, "im": 1.0}]}
+
+
+def _random_grid(rng, rows, cols, n, complex_entries):
+    """Mixed-parity entries, about a quarter of them zero, and row 0 all zero."""
+    grid = []
+    for i in range(rows):
+        row = []
+        for _ in range(cols):
+            zero = i == 0 or rng.random() < 0.25
+            if complex_entries:
+                row.append(0j if zero else complex(rng.standard_normal(), rng.standard_normal()))
+            else:
+                row.append(GrassmannScalar.zero(n) if zero else random_element(rng, n))
+        grid.append(row)
+    return grid
+
+
+def _coeffs(x, n):
+    v = np.zeros(1 << n, dtype=complex)
+    if isinstance(x, GrassmannScalar):
+        for mask, c in x.terms.items():
+            v[mask] = c
+    else:
+        v[0] = x
+    return v
+
+
+@pytest.mark.parametrize("left_complex,right_complex", [(False, False), (True, False),
+                                                        (False, True)],
+                         ids=["lambda-lambda", "complex-lambda", "lambda-complex"])
+def test_grid_mul_against_multiplication_operators(rng, left_complex, right_complex):
+    # oracle: sum_r L(a_ir) coeffs(b_rj), with L the left-multiplication matrix
+    # built from merge signs, not from GrassmannScalar.__mul__
+    n, rows, inner, cols = 3, 4, 3, 5
+    A = _random_grid(rng, rows, inner, n, left_complex)
+    B = _random_grid(rng, inner, cols, n, right_complex)
+    out = grid_mul(A, B, n)
+    assert len(out) == rows and all(len(row) == cols for row in out)
+    for i in range(rows):
+        for j in range(cols):
+            want = sum(left_mult_operator(GrassmannScalar.scalar(n, A[i][r])
+                                          if left_complex else A[i][r]) @ _coeffs(B[r][j], n)
+                       for r in range(inner))
+            assert np.abs(_coeffs(out[i][j], n) - want).max() <= 1e-12
+    assert all(e.is_zero() for e in out[0])
+
+
+def test_grid_mul_rejects_inner_mismatch():
+    with pytest.raises(DimensionError):
+        grid_mul([[one(), one()]], [[one()]], N)

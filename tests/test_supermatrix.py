@@ -15,6 +15,7 @@ from supercurves.supermatrix import (
     berezinian_star,
     det_even,
     det_even_laplace,
+    invert_even,
     invert_matrix,
     oracle_solve,
     quasideterminant,
@@ -188,6 +189,84 @@ def test_singular_body_raises():
     A = SuperMatrix((1, 0), (1, 0), [[g(0) + gen(0) * gen(1)]])
     with pytest.raises(NotInvertibleError):
         invert_matrix(A)
+
+
+# bodies that are singular or nearly so relative to their own scale
+NEAR_SINGULAR_BODIES = {
+    "diag_1_1e-13": np.diag([1.0, 1e-13]),
+    "rank1_plus_1e-13": np.array([[1.0, 1.0], [1.0, 1.0 + 1e-13]]),
+    "exactly_singular": np.array([[1.0, 2.0], [2.0, 4.0]]),
+    "3x3_scaled_1e6": 1e6 * np.diag([1.0, 0.5, 1e-12]),
+}
+
+
+def _even_grid(body, rng, n=4):
+    """Square grid of even elements: the given body plus random even souls."""
+    m = body.shape[0]
+    return [[GrassmannScalar.scalar(n, complex(body[i, j]))
+             + GrassmannScalar.monomial(n, [0, 1], complex(rng.standard_normal()))
+             + GrassmannScalar.monomial(n, [2, 3], complex(rng.standard_normal()))
+             for j in range(m)] for i in range(m)]
+
+
+def _with_bad_block(body, odd_block, rng, n=4):
+    """Even supermatrix whose even-even (or odd-odd) block has the given body;
+    the other diagonal block is the 1x1 identity."""
+    m = body.shape[0]
+    bad = _even_grid(body, rng, n)
+    one = GrassmannScalar.one(n)
+    if odd_block:
+        shape = (1, m)
+        rows = [[one] + [GrassmannScalar.generator(n, 0)] * m]
+        rows += [[GrassmannScalar.generator(n, 1)] + row for row in bad]
+    else:
+        shape = (m, 1)
+        rows = [row + [GrassmannScalar.generator(n, 0)] for row in bad]
+        rows += [[GrassmannScalar.generator(n, 1)] * m + [one]]
+    return SuperMatrix(shape, shape, rows)
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_SINGULAR_BODIES))
+def test_near_singular_body_raises(rng, name):
+    body = NEAR_SINGULAR_BODIES[name]
+    n = 4
+    M = _even_grid(body, rng, n)
+    m = body.shape[0]
+    with pytest.raises(NotInvertibleError, match="condition number"):
+        invert_even(M, n)
+    with pytest.raises(NotInvertibleError, match="condition number"):
+        invert_matrix(SuperMatrix((m, 0), (m, 0), M))
+    for odd_block in (False, True):
+        A = _with_bad_block(body, odd_block, rng, n)
+        with pytest.raises(NotInvertibleError, match="condition number"):
+            berezinian(A)
+        with pytest.raises(NotInvertibleError, match="condition number"):
+            berezinian_star(A)
+    lap = det_even_laplace(M, n)
+    assert (det_even(M, n) - lap).norm_inf() <= 1e-12 * max(1.0, lap.norm_inf())
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_body_raises(value):
+    A = SuperMatrix((1, 0), (1, 0), [[g(value)]])
+    for fn in (invert_matrix, berezinian, berezinian_star):
+        with pytest.raises(NotInvertibleError, match="not finite"):
+            fn(A)
+
+
+def test_small_well_conditioned_body_is_invertible():
+    # the invertibility test is relative: a uniformly small body is fine
+    n = 4
+    body = 1e-13 * np.array([[2.0, 1.0], [0.5, 3.0]])
+    A = SuperMatrix((2, 0), (2, 0), [[GrassmannScalar.scalar(n, complex(v)) for v in row]
+                                     for row in body])
+    assert (A @ invert_matrix(A)).isclose(SuperMatrix.identity((2, 0), n), 1e-12)
+    assert abs(berezinian(A).body - np.linalg.det(body)) <= 1e-12 * abs(np.linalg.det(body))
+
+
+def test_body_of_matrix_without_rows():
+    assert SuperMatrix((0, 0), (1, 1), []).body().shape == (0, 2)
+    assert SuperMatrix.zero((1, 1), (0, 2), N).body().shape == (2, 2)
 
 
 def test_cramer_worked_example():
