@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-import numpy as np
-
-from .errors import BigCellError, DimensionError, DomainError, ParityError
-from .grassmann import GrassmannScalar, as_grassmann, grid_body, grid_mul
+from .errors import BigCellError, DimensionError, DomainError, NotInvertibleError, ParityError
+from .grassmann import GrassmannScalar, as_grassmann, grid_mul
 from .supermatrix import (
     SuperMatrix,
     berezinian,
@@ -308,12 +306,6 @@ class TruncatedFrame:
     def row_of(self, d: int) -> List[GrassmannScalar]:
         return list(self.entries[self.window.indices.index(d)])
 
-    def body_rank_defect(self) -> int:
-        neg = self.window.neg_indices
-        rows = [self.entries[self.window.indices.index(d)] for d in neg]
-        body = grid_body(rows, len(neg))
-        return len(neg) - int(np.linalg.matrix_rank(body, tol=1e-9))
-
 
 def standard_frame(window: TruncationWindow, n: int) -> TruncatedFrame:
     rows = window.indices
@@ -398,12 +390,15 @@ def reorder_row_to_super(frame: TruncatedFrame, d: int) -> List[GrassmannScalar]
 
 
 def big_cell_test(frame: TruncatedFrame) -> Tuple[bool, TruncatedFrame | None]:
-    """True iff A = W_- is invertible over Lambda; also returns W A^-1 when it is."""
+    """True iff A = W_- is invertible over Lambda; also returns W A^-1 when it is.
+
+    The decision is the body test of ``invert_matrix``.
+    """
     frame.require_even()
-    if frame.body_rank_defect() > 0:
+    try:
+        Ainv = invert_matrix(minus_block(frame))
+    except NotInvertibleError:
         return False, None
-    A = minus_block(frame)
-    Ainv = invert_matrix(A)
     # back to window column order
     ordered, perm = _super_permutation(frame.window)
     cols = len(ordered)
@@ -433,25 +428,25 @@ class BakerVectors:
         return worst
 
 
+def _normalized_columns(frame: TruncatedFrame) -> Tuple[Dict[int, GrassmannScalar],
+                                                          Dict[int, GrassmannScalar]]:
+    """Nonzero entries of columns 0 and -1/2 of the normalized frame W A^-1."""
+    ok, normalized = big_cell_test(frame)
+    if not ok:
+        raise BigCellError("frame is not in the big cell")
+    neg = frame.window.neg_indices
+    return tuple({d: row[c] for d, row in zip(frame.window.indices, normalized.entries)
+                  if row[c].terms} for c in (neg.index(0), neg.index(-1)))
+
+
 def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
     """Columns 0 and -1/2 of the normalized frame, with the Berezinian-ratio route.
 
     Coefficient of e_i: ber(A_0(r_i))/ber(A) on the even column and
     ber*(A_{-1/2}(r_i))/ber*(A) on the odd column.
     """
-    ok, normalized = big_cell_test(frame)
-    if not ok:
-        raise BigCellError("frame is not in the big cell")
+    w_even, w_odd = _normalized_columns(frame)
     window = frame.window
-    neg = window.neg_indices
-    col0 = neg.index(0)
-    colm1 = neg.index(-1)
-    rows = window.indices
-    w_even = {d: normalized.entries[i][col0] for i, d in enumerate(rows)
-              if normalized.entries[i][col0].terms}
-    w_odd = {d: normalized.entries[i][colm1] for i, d in enumerate(rows)
-             if normalized.entries[i][colm1].terms}
-
     A = minus_block(frame)
     ordered, _ = _super_permutation(window)
     pos0 = ordered.index(0)
@@ -476,7 +471,7 @@ def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
 def baker_functions(frame: TruncatedFrame) -> Tuple[Dict[SymbolKey, GrassmannScalar],
                                                     Dict[SymbolKey, GrassmannScalar]]:
     """Baker vectors written as Laurent symbols via e_i = z^i, e_{i-1/2} = z^i theta."""
-    vec = baker_vectors(frame)
+    w_even, w_odd = _normalized_columns(frame)
 
     def to_symbol(col: Dict[int, GrassmannScalar]) -> Dict[SymbolKey, GrassmannScalar]:
         out: Dict[SymbolKey, GrassmannScalar] = {}
@@ -487,7 +482,7 @@ def baker_functions(frame: TruncatedFrame) -> Tuple[Dict[SymbolKey, GrassmannSca
                 out[((d + 1) // 2, 1)] = v
         return out
 
-    return to_symbol(vec.w_even), to_symbol(vec.w_odd)
+    return to_symbol(w_even), to_symbol(w_odd)
 
 
 # -- Heisenberg flows and tau functions --------------------------------------------------
@@ -567,21 +562,26 @@ class TauValue:
 
 
 def tau(frame: TruncatedFrame, t: HeisenbergElement) -> TauValue:
-    """tau_W(t) = ber([gamma(t)^-1 W]_-) / ber(W_-), and the ber* variant."""
+    """tau_W(t) = ber([gamma(t)^-1 W]_-) / ber(W_-), and the ber* variant.
+
+    Both big-cell decisions are the Berezinian's body test: a base frame
+    outside the big cell raises, a flowed one gives finite=False.  The warning
+    (a flow shift above half the window) covers ``flow_band``'s band-width flag.
+    """
     frame.require_even()
-    if frame.body_rank_defect() > 0:
-        raise BigCellError("base frame is not in the big cell")
-    window = frame.window
-    band, warn = flow_band(window, t)
-    warn = warn or (t.max_shift() * 2 > window.M)
-    flowed = exp_band_apply(band, frame, prefactor=-1.0)
-    if flowed.body_rank_defect() > 0:
-        return TauValue(finite=False, tau=None, tau_star=None, truncation_warning=warn)
+    warn = t.max_shift() * 2 > frame.window.M
     A0 = minus_block(frame)
-    At = minus_block(flowed)
-    value = berezinian(At) * berezinian(A0).invert()
-    value_star = berezinian_star(At) * berezinian_star(A0).invert()
-    return TauValue(finite=True, tau=value, tau_star=value_star, truncation_warning=warn)
+    try:
+        ber0, ber0_star = berezinian(A0), berezinian_star(A0)
+    except NotInvertibleError as exc:
+        raise BigCellError("base frame is not in the big cell") from exc
+    At = minus_block(flowed_frame(frame, t))
+    try:
+        value, value_star = berezinian(At), berezinian_star(At)
+    except NotInvertibleError:
+        return TauValue(finite=False, tau=None, tau_star=None, truncation_warning=warn)
+    return TauValue(finite=True, tau=value * ber0.invert(), tau_star=value_star * ber0_star.invert(),
+                    truncation_warning=warn)
 
 
 def flowed_frame(frame: TruncatedFrame, t: HeisenbergElement) -> TruncatedFrame:
@@ -639,13 +639,10 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
     if phi.terms and phi.parity() != 1:
         raise ParityError("phi must be odd")
     wt = flowed_frame(frame, t)
-    ok, _ = big_cell_test(wt)
-    if not ok:
-        raise BigCellError("flowed frame left the big cell")
+    w_even_sym, w_odd_sym = baker_functions(wt)  # raises BigCellError off the big cell
     At = minus_block(wt)
     ber_At = berezinian(At)
     ber_star_At = berezinian_star(At)
-    w_even_sym, w_odd_sym = baker_functions(wt)
 
     def eval_symbol(sym: Dict[SymbolKey, GrassmannScalar], u: complex) -> GrassmannScalar:
         acc = GrassmannScalar.zero(n)

@@ -242,6 +242,48 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
     return rec(full)
 
 
+def _powers(M, n: int, what: str):
+    """Factor a square Lambda grid once: (body, body^-1, [N, N^2, ...]), N = body^-1 soul.
+
+    Runs the body test; the powers stop at the first zero one, which
+    nilpotency of N guarantees.  The inverse and the determinant are both
+    read off this one list.
+    """
+    body = grid_body(M, len(M))
+    _require_invertible_body(body, what)
+    binv = np.linalg.inv(body).tolist()
+    N = grid_mul(binv, _grid_soul(M), n)
+    powers = []
+    power = N
+    while any(e.terms for row in power for e in row):
+        powers.append(power)
+        power = grid_mul(power, N, n)
+    return body, binv, powers
+
+
+def _inverse(binv, powers, n: int):
+    """(sum_r (-N)^r) body^-1 from the factorization of ``_powers``."""
+    m = len(binv)
+    acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
+           for i in range(m)]
+    for r, power in enumerate(powers):
+        sign = (-1.0) ** (r + 1)
+        acc = [[a + p * sign for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
+    return grid_mul(acc, binv, n)
+
+
+def _det(body, powers, n: int) -> GrassmannScalar:
+    """det(body) exp(sum_r (-1)^(r+1) tr(N^r)/r) for a grid of even entries."""
+    logdet = GrassmannScalar.zero(n)
+    for r, power in enumerate(powers, 1):
+        tr = GrassmannScalar.zero(n)
+        for i, row in enumerate(power):
+            tr = tr + row[i]
+        if tr.terms:
+            logdet = logdet + tr * ((-1.0) ** (r + 1) / r)
+    return logdet.exp() * complex(np.linalg.det(body))
+
+
 def det_even(M, n: int | None = None) -> GrassmannScalar:
     """Determinant of a square matrix of even elements of Lambda.
 
@@ -254,111 +296,62 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
         M = M.entries
     if n is None:
         raise DimensionError("generator count required for raw grids")
-    m = len(M)
-    if m == 0:
-        return GrassmannScalar.one(n)
-    if any(len(r) != m for r in M):
+    if any(len(r) != len(M) for r in M):
         raise DimensionError("determinant of a non-square matrix")
     _require_even_entries(M)
-    body = grid_body(M, m)
     try:
-        _require_invertible_body(body, "matrix body")
+        body, _, powers = _powers(M, n, "matrix body")
     except NotInvertibleError:
         return det_even_laplace(M, n)
-    N = grid_mul(np.linalg.inv(body).tolist(), _grid_soul(M), n)
-    # tr(N^r) until the power dies; even souls have degree >= 2 so this is short
-    logdet = GrassmannScalar.zero(n)
-    power = N
-    r = 1
-    while True:
-        tr = GrassmannScalar.zero(n)
-        for i in range(m):
-            tr = tr + power[i][i]
-        if tr.terms:
-            logdet = logdet + tr * ((-1.0) ** (r + 1) / r)
-        if all(not e.terms for row in power for e in row):
-            break
-        r += 1
-        if r > max(1, n):
-            break
-        power = grid_mul(power, N, n)
-    return logdet.exp() * complex(np.linalg.det(body))
-
-
-def _neumann_inverse(M, n: int):
-    """Inverse of a square Lambda grid with invertible body: (sum_r (-N)^r) body^-1.
-
-    N = body^-1 soul is nilpotent, so the series terminates.  Private so that
-    ``invert_even`` and ``invert_matrix`` stay single, unnested calls.
-    """
-    m = len(M)
-    body = grid_body(M, m)
-    _require_invertible_body(body, "matrix body")
-    binv = np.linalg.inv(body).tolist()
-    N = grid_mul(binv, _grid_soul(M), n)
-    acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
-           for i in range(m)]
-    power = N
-    sign = -1.0
-    while any(e.terms for row in power for e in row):
-        acc = [[a + p * sign for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-        power = grid_mul(power, N, n)
-        sign = -sign
-    return grid_mul(acc, binv, n)
+    return _det(body, powers, n)
 
 
 def invert_even(M, n: int):
     """Inverse of a square matrix of even elements with invertible body."""
-    return _neumann_inverse(M, n)
+    _, binv, powers = _powers(M, n, "matrix body")
+    return _inverse(binv, powers, n)
 
 
 # -- Berezinians ----------------------------------------------------------------
 
-def _ber_blocks(A: SuperMatrix):
-    """Guards shared by ber and ber*; returns the blocks (X, alpha, beta, Y)."""
+def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
+    """det(S) det(P)^-1, S = K - a P^-1 b: ber with pivot P = Y, ber* with P = X.
+
+    a and b are odd, so S has the body of K.  K's body is tested before any
+    Lambda product is made, so a singular block raises at once.
+    """
     if not A.is_square():
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
-    k, l = A.row_shape
+    n = A.n
     X, alpha, beta, Y = A.blocks()
-    _require_invertible_body(grid_body(X, k), "reduced even-even block")
-    _require_invertible_body(grid_body(Y, l), "reduced odd-odd block")
-    return X, alpha, beta, Y
+    K, a, P, b = (Y, beta, X, alpha) if star else (X, alpha, Y, beta)
+    names = ("reduced even-even block", "reduced odd-odd block")
+    kname, pname = names[::-1] if star else names
+    _require_invertible_body(grid_body(K, len(K)), kname)
+    pbody, pinv, ppowers = _powers(P, n, pname)
+    S = _grid_sub(K, grid_mul(grid_mul(a, _inverse(pinv, ppowers, n), n), b, n)) if P else K
+    sbody, _, spowers = _powers(S, n, kname)
+    dS, dP_inv = _det(sbody, spowers, n), _det(pbody, ppowers, n).invert()
+    return dP_inv * dS if star else dS * dP_inv  # each formula's own factor order
 
 
 def berezinian(A: SuperMatrix) -> GrassmannScalar:
     """ber(A) = det(X - alpha Y^-1 beta) det(Y)^-1 for square even A."""
-    X, alpha, beta, Y = _ber_blocks(A)
-    k, l = A.row_shape
-    n = A.n
-    if l == 0:
-        return det_even(X, n)
-    if k == 0:
-        return det_even(Y, n).invert()
-    Yinv = invert_even(Y, n)
-    schur = _grid_sub(X, grid_mul(grid_mul(alpha, Yinv, n), beta, n))
-    return det_even(schur, n) * det_even(Y, n).invert()
+    return _schur_ber(A, star=False)
 
 
 def berezinian_star(A: SuperMatrix) -> GrassmannScalar:
     """ber*(A) = det(X)^-1 det(Y - beta X^-1 alpha); equals ber(A)^-1."""
-    X, alpha, beta, Y = _ber_blocks(A)
-    k, l = A.row_shape
-    n = A.n
-    if k == 0:
-        return det_even(Y, n)
-    if l == 0:
-        return det_even(X, n).invert()
-    Xinv = invert_even(X, n)
-    schur = _grid_sub(Y, grid_mul(grid_mul(beta, Xinv, n), alpha, n))
-    return det_even(X, n).invert() * det_even(schur, n)
+    return _schur_ber(A, star=True)
 
 
 def invert_matrix(A: SuperMatrix) -> SuperMatrix:
     """Exact inverse of a square matrix with invertible body (Neumann series)."""
     if not A.is_square():
         raise DimensionError("inverse of a non-square supermatrix")
-    return SuperMatrix(A.row_shape, A.col_shape, _neumann_inverse(A.entries, A.n))
+    _, binv, powers = _powers(A.entries, A.n, "matrix body")
+    return SuperMatrix(A.row_shape, A.col_shape, _inverse(binv, powers, A.n))
 
 
 # -- quasideterminants -----------------------------------------------------------

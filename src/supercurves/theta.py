@@ -286,6 +286,8 @@ def build_super_theta(ctx: ThetaContext, Z_o: List[List[GrassmannScalar]] | None
                 n = max(n, e.n)
                 if e.terms and e.parity() != 1:
                     raise ParityError("Z_o entries must be odd")
+                if any(m >> i & 1 for m in e.terms for i in eta_gens):
+                    raise DomainError("Z_o entries must not use the eta generators")
     terms: Dict[Tuple[int, ...], GrassmannScalar] = {tuple([0] * g): GrassmannScalar.one(n)}
     for alpha in reversed(list(alphas)):
         eta = GrassmannScalar.generator(n, eta_gens[alpha])

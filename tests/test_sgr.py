@@ -115,6 +115,24 @@ def test_delta_example_fails_big_cell(window):
     assert not ok
 
 
+def _ill_conditioned_frame():
+    # minus-block body diag(100, 5e-9, 1, ...): full rank to an absolute 1e-9,
+    # condition number 2e10 to the relative body test
+    window = sgr.TruncationWindow(4)
+    frame = sgr.standard_frame(window, 2)
+    for d, v in zip(window.neg_indices[:2], (100.0, 5e-9)):
+        frame.entries[window.indices.index(d)][window.neg_indices.index(d)] = \
+            GrassmannScalar.scalar(2, v)
+    return frame
+
+
+def test_ill_conditioned_minus_block_is_outside_big_cell():
+    frame = _ill_conditioned_frame()
+    assert sgr.big_cell_test(frame) == (False, None)
+    with pytest.raises(BigCellError):
+        sgr.baker_vectors(frame)
+
+
 def test_normalized_frame_has_unit_minus_block(banded_frame):
     ok, normalized = sgr.big_cell_test(banded_frame)
     assert ok
@@ -155,6 +173,14 @@ def test_baker_functions_leading_structure(banded_frame):
     assert (w_odd[(0, 1)] - g(1)).norm_inf() < 1e-12
     assert all(m >= 0 for (m, _t) in w_even)
     assert all(m >= 0 for (m, _t) in w_odd)
+
+
+def test_baker_functions_are_symbols_of_baker_vectors(banded_frame):
+    w_even, w_odd = sgr.baker_functions(banded_frame)
+    vec = sgr.baker_vectors(banded_frame)
+    # e_i = z^i (d = 2i) and e_{i-1/2} = z^i theta (d = 2i - 1)
+    assert w_even == {((d + 1) // 2, d & 1): v for d, v in vec.w_even.items()}
+    assert w_odd == {((d + 1) // 2, d & 1): v for d, v in vec.w_odd.items()}
 
 
 def test_baker_requires_big_cell(window):
@@ -244,6 +270,17 @@ def test_baker_tau_quotient_standard_frame(window):
     rep = sgr.baker_tau_quotient_check(frame, sgr.HeisenbergElement(N, {}),
                                        [0.1], mono([3], 0.7))
     assert rep["max_residual"] < 1e-12
+
+
+def test_baker_tau_quotient_raises_off_the_big_cell(window):
+    # the frame and flow of test_tau_pole_reported
+    frame = sgr.standard_frame(window, N)
+    col0 = window.neg_indices.index(0)
+    frame.entries[window.indices.index(0)][col0] = g(0.25)
+    frame.entries[window.indices.index(2)][col0] = g(1.0)
+    t = sgr.HeisenbergElement(N, {2: g(0.25)})
+    with pytest.raises(BigCellError):
+        sgr.baker_tau_quotient_check(frame, t, [0.1], mono([3], 0.7))
 
 
 def test_baker_tau_quotient_generic(banded_frame):

@@ -67,6 +67,22 @@ def test_ber_pure_parity_blocks():
     assert berezinian_star(X).isclose(g(1 / 8), 1e-14)
 
 
+@pytest.mark.parametrize("shape", [(0, 1), (0, 3), (1, 0), (3, 0), (1, 2), (3, 2)],
+                         ids=lambda s: f"{s[0]}|{s[1]}")
+def test_ber_schur_routine_over_shapes(rng, shape):
+    n = 4
+    A = random_even_matrix(rng, shape, n)
+    B = random_even_matrix(rng, shape, n)
+    one = GrassmannScalar.one(n)
+    assert (berezinian(A) * berezinian_star(A) - one).norm_inf() < 1e-9
+    assert (berezinian(A @ B) - berezinian(A) * berezinian(B)).norm_inf() < 1e-9
+    X, _, _, Y = A.blocks()
+    if shape[1] == 0:
+        assert (berezinian(A) - det_even_laplace(X, n)).norm_inf() < 1e-9
+    if shape[0] == 0:
+        assert (berezinian(A) - det_even_laplace(Y, n).invert()).norm_inf() < 1e-9
+
+
 def test_ber_requires_even(example_11):
     bad = SuperMatrix((1, 1), (1, 1), [[gen(0), g(1)], [g(1), g(1)]])
     with pytest.raises(ParityError):

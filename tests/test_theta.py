@@ -198,6 +198,14 @@ def test_repeated_alpha_rejected(ctx_g2):
         build_super_theta(ctx_g2, None, [0, 0], eta_gens=[0], n_gens=1)
 
 
+def test_odd_periods_using_an_eta_generator_rejected(ctx_g2):
+    # Z_o built on eta_0's own generator is outside the construction
+    n = 4
+    Zo = [[GrassmannScalar.monomial(n, [0], 0.4)], [GrassmannScalar.monomial(n, [2], 0.3)]]
+    with pytest.raises(DomainError):
+        build_super_theta(ctx_g2, Zo, [0], eta_gens=[0], n_gens=n)
+
+
 def test_wrong_shift_is_detected(ctx_g2):
     # negative control: shifting z by half a period row must break the relation
     n = 1
