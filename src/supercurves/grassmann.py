@@ -409,7 +409,12 @@ Grid = List[List[GrassmannScalar]]
 
 
 def grid_zeros(rows: int, cols: int, n: int) -> Grid:
-    return [[GrassmannScalar.zero(n) for _ in range(cols)] for _ in range(rows)]
+    """A rows x cols grid whose slots all hold one shared zero.
+
+    Sharing is safe because grid entries are replaced, never mutated.
+    """
+    zero = GrassmannScalar.zero(n)
+    return [[zero] * cols for _ in range(rows)]
 
 
 def grid_mul(A: Sequence[Sequence], B: Sequence[Sequence], n: int) -> Grid:

@@ -16,10 +16,10 @@ discretization error (monitored, never silently ignored).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import BigCellError, DimensionError, DomainError, NotInvertibleError, ParityError
-from .grassmann import GrassmannScalar, as_grassmann, grid_mul
+from .grassmann import Grid, GrassmannScalar, as_grassmann, grid_mul, grid_zeros
 from .supermatrix import (
     SuperMatrix,
     berezinian,
@@ -29,7 +29,6 @@ from .supermatrix import (
 )
 
 SymbolKey = Tuple[int, int]          # (z power, theta flag)
-Entries = Dict[Tuple[int, int], GrassmannScalar]   # (row d, col d) -> value
 
 
 @dataclass(frozen=True)
@@ -57,6 +56,10 @@ class TruncationWindow:
     def contains(self, d: int) -> bool:
         return -2 * self.M < d <= 2 * self.M
 
+    def pos(self, d: int) -> int:
+        """Position of the doubled index d in ``indices`` (and in ``neg_indices``)."""
+        return d + 2 * self.M - 1
+
     @staticmethod
     def parity(d: int) -> int:
         return d & 1
@@ -68,91 +71,21 @@ class TruncationWindow:
         return evens + odds
 
 
-# -- sparse operators over the window -------------------------------------------------
+# -- operators over the window ------------------------------------------------------
 
 
 @dataclass
 class WindowOperator:
-    """Sparse matrix acting on the window basis, entries over Lambda."""
+    """Matrix over Lambda acting on the window basis: a grid indexed by ``window.pos``."""
 
     window: TruncationWindow
     n: int
-    entries: Entries = field(default_factory=dict)
+    entries: Grid
 
-    def add(self, row: int, col: int, value: GrassmannScalar) -> None:
-        if not value.terms:
-            return
-        key = (row, col)
-        cur = self.entries.get(key)
-        s = value if cur is None else cur + value
-        if s.terms:
-            self.entries[key] = s
-        else:
-            self.entries.pop(key, None)
-
-    def __matmul__(self, other: "WindowOperator") -> "WindowOperator":
-        rows: Dict[int, List[Tuple[int, GrassmannScalar]]] = {}
-        for (r, c), v in other.entries.items():
-            rows.setdefault(r, []).append((c, v))
-        out = WindowOperator(self.window, self.n)
-        for (r, k), v in self.entries.items():
-            for c, w in rows.get(k, ()):
-                out.add(r, c, v * w)
-        return out
-
-    def __add__(self, other: "WindowOperator") -> "WindowOperator":
-        out = WindowOperator(self.window, self.n, dict(self.entries))
-        for (r, c), v in other.entries.items():
-            out.add(r, c, v)
-        return out
-
-    def scale(self, c) -> "WindowOperator":
-        return WindowOperator(self.window, self.n,
-                              {k: v * c for k, v in self.entries.items()})
-
-    def commutator(self, other: "WindowOperator") -> "WindowOperator":
-        return (self @ other) + (other @ self).scale(-1.0)
-
-    def restrict(self, rows: Iterable[int], cols: Iterable[int]) -> "WindowOperator":
-        rset, cset = set(rows), set(cols)
-        return WindowOperator(self.window, self.n,
-                              {(r, c): v for (r, c), v in self.entries.items()
-                               if r in rset and c in cset})
-
-    def block(self, which: str) -> "WindowOperator":
-        """H_-/H_+ block: 'a' (-,-), 'b' (-,+), 'c' (+,-), 'd' (+,+)."""
-        rneg = which in ("a", "b")
-        cneg = which in ("a", "c")
-        return WindowOperator(self.window, self.n,
-                              {(r, c): v for (r, c), v in self.entries.items()
-                               if (r <= 0) == rneg and (c <= 0) == cneg})
-
-    def supertrace(self, indices: Iterable[int] | None = None) -> GrassmannScalar:
-        """Sum of even diagonal entries minus sum of odd diagonal entries."""
-        allowed = set(indices) if indices is not None else None
-        acc = GrassmannScalar.zero(self.n)
-        for (r, c), v in self.entries.items():
-            if r != c:
-                continue
-            if allowed is not None and r not in allowed:
-                continue
-            acc = acc + (v if r % 2 == 0 else -v)
-        return acc
-
-    def is_even(self) -> bool:
-        for (r, c), v in self.entries.items():
-            want = (r + c) & 1
-            par = v.parity()
-            if par is None or (v.terms and par != want):
-                return False
-        return True
-
-    def identity_plus(self) -> "WindowOperator":
-        out = WindowOperator(self.window, self.n, dict(self.entries))
-        one = GrassmannScalar.one(self.n)
-        for d in self.window.indices:
-            out.add(d, d, one)
-        return out
+    @classmethod
+    def zero(cls, window: TruncationWindow, n: int) -> "WindowOperator":
+        size = len(window.indices)
+        return cls(window, n, grid_zeros(size, size, n))
 
 
 def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
@@ -186,7 +119,9 @@ def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
             return -2 * m - 1, None
         raise DomainError(f"unknown symbol kind {kind!r}")
 
-    op = WindowOperator(window, n)
+    op = WindowOperator.zero(window, n)
+    grid = op.entries
+    pos = window.pos
     warn = False
     inside = window.contains
     for (kind, m), coeff in symbol.items():
@@ -206,7 +141,7 @@ def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
                 continue
             r = d + shift
             if inside(r):
-                op.add(r, d, coeff)
+                grid[pos(r)][pos(d)] = grid[pos(r)][pos(d)] + coeff
         max_shift = max(abs(s) for s in (even_shift, odd_shift) if s is not None)
         if max_shift > 2 * window.M:
             warn = True  # band wider than half the window: edge effects dominate
@@ -224,6 +159,16 @@ def symbol_of_jheis(coeffs: Mapping[SymbolKey, GrassmannScalar]) -> Dict:
 # -- symbols in Lambda[z, z^-1, theta] --------------------------------------------------
 
 
+def _accumulate(out: Dict[SymbolKey, GrassmannScalar], key: SymbolKey,
+                c: GrassmannScalar) -> None:
+    """out[key] += c, keeping only nonzero coefficients."""
+    s = out[key] + c if key in out else c
+    if s.terms:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
 def symbol_mul(a: Mapping[SymbolKey, GrassmannScalar], b: Mapping[SymbolKey, GrassmannScalar],
                n: int) -> Dict[SymbolKey, GrassmannScalar]:
     """Product of Laurent symbols; theta^2 = 0 and coefficients supercommute past theta."""
@@ -239,35 +184,25 @@ def symbol_mul(a: Mapping[SymbolKey, GrassmannScalar], b: Mapping[SymbolKey, Gra
                     raise ParityError("mixed-parity symbol coefficient")
                 if par == 1:
                     c = -c1 * c2  # move c2 past theta
-            if not c.terms:
-                continue
-            key = (m1 + m2, t1 | t2)
-            cur = out.get(key)
-            s = c if cur is None else cur + c
-            if s.terms:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, (m1 + m2, t1 | t2), c)
     return out
 
 
-def symbol_log_unipotent(u: Mapping[SymbolKey, GrassmannScalar], n: int,
-                         max_power: int = 12) -> Dict[SymbolKey, GrassmannScalar]:
-    """log(1 + u) for a symbol u with nilpotent coefficients (terminating series)."""
+def symbol_log_unipotent(u: Mapping[SymbolKey, GrassmannScalar],
+                         n: int) -> Dict[SymbolKey, GrassmannScalar]:
+    """log(1 + u) for a symbol u with nilpotent coefficients (terminating series).
+
+    Every coefficient of u^(n+1) is a product of n + 1 bodiless elements of
+    Lambda, so it vanishes; a symbol for which it does not raises.
+    """
     out: Dict[SymbolKey, GrassmannScalar] = {}
     power = dict(u)
     sign = 1.0
-    for k in range(1, max_power + 1):
+    for k in range(1, n + 1):
         if not power:
             break
         for key, c in power.items():
-            term = c * (sign / k)
-            cur = out.get(key)
-            s = term if cur is None else cur + term
-            if s.terms:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _accumulate(out, key, c * (sign / k))
         power = symbol_mul(power, u, n)
         sign = -sign
     if power:
@@ -284,7 +219,7 @@ class TruncatedFrame:
 
     window: TruncationWindow
     n: int
-    entries: List[List[GrassmannScalar]]
+    entries: Grid
 
     def __post_init__(self):
         rows = len(self.window.indices)
@@ -303,58 +238,43 @@ class TruncatedFrame:
                 if e.parity() != ((rd + cd) & 1):
                     raise ParityError(f"frame entry ({rd/2}, {cd/2}) has wrong parity")
 
-    def row_of(self, d: int) -> List[GrassmannScalar]:
-        return list(self.entries[self.window.indices.index(d)])
-
 
 def standard_frame(window: TruncationWindow, n: int) -> TruncatedFrame:
-    rows = window.indices
-    cols = window.neg_indices
-    ent = [[GrassmannScalar.one(n) if rd == cd else GrassmannScalar.zero(n) for cd in cols]
-           for rd in rows]
+    ent = grid_zeros(len(window.indices), len(window.neg_indices), n)
+    one = GrassmannScalar.one(n)
+    for d in window.neg_indices:
+        ent[window.pos(d)][window.pos(d)] = one
     return TruncatedFrame(window, n, ent)
-
-
-def apply_operator(op: WindowOperator, frame: TruncatedFrame) -> TruncatedFrame:
-    """Matrix product op . frame inside the window."""
-    window = frame.window
-    rows = window.indices
-    pos = {d: i for i, d in enumerate(rows)}
-    cols = len(window.neg_indices)
-    n = frame.n
-    out = [[GrassmannScalar.zero(n) for _ in range(cols)] for _ in rows]
-    for (r, k), v in op.entries.items():
-        src = frame.entries[pos[k]]
-        dst = out[pos[r]]
-        for j in range(cols):
-            e = src[j]
-            if e.terms:
-                dst[j] = dst[j] + v * e
-    return TruncatedFrame(window, n, out)
 
 
 def exp_band_apply(band: WindowOperator, frame: TruncatedFrame,
                    prefactor: float = 1.0) -> TruncatedFrame:
-    """exp(prefactor * band) . frame; exact because the band is strictly triangular."""
-    window = frame.window
-    upper = all(r < c for (r, c) in band.entries)
-    lower = all(r > c for (r, c) in band.entries)
-    if not (upper or lower):
+    """exp(prefactor * band) . frame = sum_k (prefactor^k / k!) band^k frame.
+
+    Exact because the band is strictly triangular: band^k . frame vanishes
+    for some k <= 4M, the window size.  Term k is (prefactor/k) band times
+    term k - 1; only the band's nonzero entries are scaled.
+    """
+    B = band.entries
+    nonzero = [(i, j, e) for i, row in enumerate(B) for j, e in enumerate(row) if e.terms]
+    if not (all(i < j for i, j, _ in nonzero) or all(i > j for i, j, _ in nonzero)):
         raise DomainError("band must be strictly triangular for an exact exponential")
     total = [list(row) for row in frame.entries]
-    current = frame
-    span = 4 * window.M
-    k = 1
-    while k <= span:
-        current = apply_operator(band.scale(prefactor / k), current)
-        if all(not e.terms for row in current.entries for e in row):
-            break
-        for i, row in enumerate(current.entries):
+    term = frame.entries
+    for k in range(1, len(B) + 1):
+        step = grid_zeros(len(B), len(B), frame.n)
+        for i, j, e in nonzero:
+            step[i][j] = e * (prefactor / k)
+        term = grid_mul(step, term, frame.n)
+        added = False
+        for trow, row in zip(total, term):
             for j, e in enumerate(row):
                 if e.terms:
-                    total[i][j] = total[i][j] + e
-        k += 1
-    return TruncatedFrame(window, frame.n, total)
+                    trow[j] = trow[j] + e
+                    added = True
+        if not added:
+            break
+    return TruncatedFrame(frame.window, frame.n, total)
 
 
 # -- minus block and the big cell -----------------------------------------------------
@@ -362,30 +282,22 @@ def exp_band_apply(band: WindowOperator, frame: TruncatedFrame,
 
 def _super_permutation(window: TruncationWindow) -> Tuple[List[int], List[int]]:
     """(super ordered neg indices, positions in window order)."""
-    neg = window.neg_indices
-    ordered = window.super_order(neg)
-    win_pos = {d: i for i, d in enumerate(neg)}
-    return ordered, [win_pos[d] for d in ordered]
+    ordered = window.super_order(window.neg_indices)
+    return ordered, [window.pos(d) for d in ordered]
 
 
 def minus_block(frame: TruncatedFrame) -> SuperMatrix:
     """The square W_- piece as an even supermatrix (even lines first)."""
-    window = frame.window
-    ordered, perm = _super_permutation(window)
-    k = sum(1 for d in ordered if d % 2 == 0)
-    l = len(ordered) - k
-    rows = window.indices
-    grid = []
-    for d in ordered:
-        row = frame.entries[rows.index(d)]
-        grid.append([row[p] for p in perm])
-    return SuperMatrix((k, l), (k, l), grid)
+    _, perm = _super_permutation(frame.window)
+    k = frame.window.M  # H_- has M even and M odd lines
+    grid = [[frame.entries[r][c] for c in perm] for r in perm]
+    return SuperMatrix((k, k), (k, k), grid)
 
 
 def reorder_row_to_super(frame: TruncatedFrame, d: int) -> List[GrassmannScalar]:
     """Row of the frame at window index d, columns in super (even-first) order."""
     _, perm = _super_permutation(frame.window)
-    row = frame.row_of(d)
+    row = frame.entries[frame.window.pos(d)]
     return [row[p] for p in perm]
 
 
@@ -400,12 +312,9 @@ def big_cell_test(frame: TruncatedFrame) -> Tuple[bool, TruncatedFrame | None]:
     except NotInvertibleError:
         return False, None
     # back to window column order
-    ordered, perm = _super_permutation(frame.window)
-    cols = len(ordered)
-    inv_perm = [0] * cols
-    for super_pos, win_pos in enumerate(perm):
-        inv_perm[win_pos] = super_pos
-    T = [[Ainv.entries[inv_perm[r]][inv_perm[c]] for c in range(cols)] for r in range(cols)]
+    _, perm = _super_permutation(frame.window)
+    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
+    T = [[Ainv.entries[r][c] for c in inv_perm] for r in inv_perm]
     return True, TruncatedFrame(frame.window, frame.n, grid_mul(frame.entries, T, frame.n))
 
 
@@ -434,9 +343,9 @@ def _normalized_columns(frame: TruncatedFrame) -> Tuple[Dict[int, GrassmannScala
     ok, normalized = big_cell_test(frame)
     if not ok:
         raise BigCellError("frame is not in the big cell")
-    neg = frame.window.neg_indices
-    return tuple({d: row[c] for d, row in zip(frame.window.indices, normalized.entries)
-                  if row[c].terms} for c in (neg.index(0), neg.index(-1)))
+    window = frame.window
+    return tuple({d: row[c] for d, row in zip(window.indices, normalized.entries)
+                  if row[c].terms} for c in (window.pos(0), window.pos(-1)))
 
 
 def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
@@ -597,30 +506,25 @@ def _apply_q0(window: TruncationWindow, u: complex, phi: GrassmannScalar,
               frame: TruncatedFrame) -> TruncatedFrame:
     """Q_0(u, phi) W within the window: rows r_i + sum u^k (r_{i+k} - phi r_{i+k-1/2}).
 
-    The odd parameter multiplies the shifted theta-rows from the left (left
-    row-multiples are the Berezinian-preserving operations); the sign makes the
-    quotient agree with the coefficient-then-theta ordering of the Baker
-    functions.
+    Q_0 - 1 is the band sum_k u^k (lambda_k - phi f_k), one operator applied by
+    one product.  The odd parameter multiplies the shifted theta-rows from the
+    left (left row-multiples are the Berezinian-preserving operations); the
+    sign makes the quotient agree with the coefficient-then-theta ordering of
+    the Baker functions.
     """
     n = frame.n
-    lam: Dict = {}
-    fpart: Dict = {}
+    sym: Dict = {}
     for nn in range(1, 2 * window.M + 1):
         c = u ** nn
         if c == 0:
             break
-        lam[("lambda", nn)] = GrassmannScalar.scalar(n, c)
+        sym[("lambda", nn)] = GrassmannScalar.scalar(n, c)
         if phi.terms:
-            fpart[("f", nn)] = GrassmannScalar.scalar(n, c)
-    lam_op, _ = multiplication_matrix(window, lam, n)
-    out = apply_operator(lam_op.identity_plus(), frame)
-    if fpart:
-        f_op, _ = multiplication_matrix(window, fpart, n, check_even=False)
-        fw = apply_operator(f_op, frame)
-        ent = [[a - phi * b for a, b in zip(ra, rb)]
-               for ra, rb in zip(out.entries, fw.entries)]
-        out = TruncatedFrame(window, n, ent)
-    return out
+            sym[("f", nn)] = phi * (-c)
+    op, _ = multiplication_matrix(window, sym, n)
+    shifted = grid_mul(op.entries, frame.entries, n)
+    return TruncatedFrame(window, n, [[a + b if b.terms else a for a, b in zip(ra, rb)]
+                                      for ra, rb in zip(frame.entries, shifted)])
 
 
 def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
@@ -653,9 +557,10 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
             acc = acc + term
         return acc
 
-    ordered, _ = _super_permutation(window)
+    ordered, perm = _super_permutation(window)
     posm1 = ordered.index(-1)
     sub_odd = substitution_functional(At, posm1, star=True)
+    size = len(window.indices)
 
     report = {"even": {}, "odd": {}, "max_residual": 0.0}
     for u in u_values:
@@ -664,19 +569,14 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
         lhs_even = berezinian(minus_block(q0w)) * ber_At.invert()
         rhs_even = eval_symbol(w_even_sym, u)
         res_e = (lhs_even - rhs_even).norm_inf()
-        # odd: substituted-row route for ber*([Q_1 W]_-) phi
-        r_lambda = reorder_row_to_super(wt, -1)
-        r_deriv = [GrassmannScalar.zero(n)] * len(r_lambda)
-        for k in range(1, 2 * window.M + 1):
-            ck = u ** k
-            d_theta = 2 * k - 1
-            d_plain = 2 * k
-            if window.contains(d_theta):
-                row = reorder_row_to_super(wt, d_theta)
-                r_lambda = [a + b * ck for a, b in zip(r_lambda, row)]
-            if window.contains(d_plain):
-                row = reorder_row_to_super(wt, d_plain)
-                r_deriv = [a + b * ck for a, b in zip(r_deriv, row)]
+        # odd: substituted-row route for ber*([Q_1 W]_-) phi; the substituted
+        # rows are r_-1/2 + sum_k u^k r_(k-1/2) and sum_k u^k r_k
+        coeffs = [[0j] * size for _ in range(2)]
+        coeffs[0][window.pos(-1)] = 1.0
+        for k in range(1, window.M + 1):
+            coeffs[0][window.pos(2 * k - 1)] = coeffs[1][window.pos(2 * k)] = u ** k
+        r_lambda, r_deriv = ([row[p] for p in perm]
+                             for row in grid_mul(coeffs, wt.entries, n))
         lhs_odd = (sub_odd(r_lambda) * phi + sub_odd(r_deriv)) * ber_star_At.invert()
         rhs_odd = eval_symbol(w_odd_sym, u)
         res_o = (lhs_odd - rhs_odd).norm_inf()
@@ -689,33 +589,53 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
 # -- the gl(infinity|infinity) cocycle -----------------------------------------------
 
 
+def _supertrace(G: Grid, n: int) -> GrassmannScalar:
+    """Sum of the diagonal over even lines minus the sum over odd lines.
+
+    G is the whole window, its H_- block or its H_+ block; each starts at an
+    odd index (-2M + 1 or 1), so line i is even exactly when i is odd.
+    """
+    acc = GrassmannScalar.zero(n)
+    for i, row in enumerate(G):
+        acc = acc + row[i] if i & 1 else acc - row[i]
+    return acc
+
+
+def _commutator(A: Grid, B: Grid, n: int) -> Grid:
+    return [[p - q for p, q in zip(rp, rq)]
+            for rp, rq in zip(grid_mul(A, B, n), grid_mul(B, A, n))]
+
+
 def cocycle(X: WindowOperator, Y: WindowOperator) -> GrassmannScalar:
-    """c(X, Y) = Str(c_X b_Y) - Str(b_X c_Y) over the window blocks."""
-    bX, cX = X.block("b"), X.block("c")
-    bY, cY = Y.block("b"), Y.block("c")
-    plus = (cX @ bY).supertrace(indices=[d for d in X.window.indices if d > 0])
-    minus = (bX @ cY).supertrace(indices=[d for d in X.window.indices if d <= 0])
+    """c(X, Y) = Str(c_X b_Y) - Str(b_X c_Y) over the window blocks.
+
+    Rows and columns [:h] are H_- (indices <= 0), [h:] are H_+, with h = 2M.
+    """
+    h, n = 2 * X.window.M, X.n
+    b = lambda op: [row[h:] for row in op.entries[:h]]
+    c = lambda op: [row[:h] for row in op.entries[h:]]
+    plus = _supertrace(grid_mul(c(X), b(Y), n), n)
+    minus = _supertrace(grid_mul(b(X), c(Y), n), n)
     return plus - minus
 
 
 def cocycle_quarter_form(X: WindowOperator, Y: WindowOperator) -> GrassmannScalar:
-    """(1/4) Str(J [J,X] [J,Y]), the equivalent supertrace form."""
+    """(1/4) Str(J [J,X] [J,Y]), the equivalent supertrace form; J = +1 on H_-, -1 on H_+."""
     window, n = X.window, X.n
-    J = WindowOperator(window, n)
-    one = GrassmannScalar.one(n)
-    for d in window.indices:
-        J.entries[(d, d)] = one if d <= 0 else -one
-    JX = J.commutator(X)
-    JY = J.commutator(Y)
-    return (J @ JX @ JY).supertrace() * 0.25
+    h, size = 2 * window.M, len(window.indices)
+    J = [[(1.0 if i < h else -1.0) if i == j else 0.0 for j in range(size)]
+         for i in range(size)]
+    JX = _commutator(J, X.entries, n)
+    JY = _commutator(J, Y.entries, n)
+    return _supertrace(grid_mul(grid_mul(J, JX, n), JY, n), n) * 0.25
 
 
 def jheis_projected_action(window: TruncationWindow, sym: Mapping[SymbolKey, GrassmannScalar],
-                           n: int) -> WindowOperator:
-    """pi_- of multiplication by a symbol, restricted to H_- (the a-block)."""
+                           n: int) -> Grid:
+    """pi_- of multiplication by a symbol, restricted to H_- (the a-block, indices <= 0)."""
     op, _ = multiplication_matrix(window, symbol_of_jheis(dict(sym)), n, check_even=False)
-    neg = window.neg_indices
-    return op.restrict(neg, neg)
+    h = 2 * window.M
+    return [row[:h] for row in op.entries[:h]]
 
 
 def jheis_commutator_supertrace(window: TruncationWindow,
@@ -725,7 +645,7 @@ def jheis_commutator_supertrace(window: TruncationWindow,
     """Str_{H_-}([f_-, f_+]) for projected multiplication actions (vanishes)."""
     f_minus = jheis_projected_action(window, sym_minus, n)
     f_plus = jheis_projected_action(window, sym_plus, n)
-    return f_minus.commutator(f_plus).supertrace(indices=window.neg_indices)
+    return _supertrace(_commutator(f_minus, f_plus, n), n)
 
 
 # -- random frames ------------------------------------------------------------------------

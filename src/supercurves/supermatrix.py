@@ -245,12 +245,19 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
 def _powers(M, n: int, what: str):
     """Factor a square Lambda grid once: (body, body^-1, [N, N^2, ...]), N = body^-1 soul.
 
-    Runs the body test; the powers stop at the first zero one, which
-    nilpotency of N guarantees.  The inverse and the determinant are both
-    read off this one list.
+    Runs the body test, then the series of ``_series``.
     """
     body = grid_body(M, len(M))
     _require_invertible_body(body, what)
+    return (body, *_series(M, body, n))
+
+
+def _series(M, body: np.ndarray, n: int):
+    """(body^-1, [N, N^2, ...]) for a grid whose body has passed the body test.
+
+    The powers stop at the first zero one, which nilpotency of N guarantees.
+    The inverse and the determinant are both read off this one list.
+    """
     binv = np.linalg.inv(body).tolist()
     N = grid_mul(binv, _grid_soul(M), n)
     powers = []
@@ -258,7 +265,7 @@ def _powers(M, n: int, what: str):
     while any(e.terms for row in power for e in row):
         powers.append(power)
         power = grid_mul(power, N, n)
-    return body, binv, powers
+    return binv, powers
 
 
 def _inverse(binv, powers, n: int):
@@ -317,22 +324,26 @@ def invert_even(M, n: int):
 def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
     """det(S) det(P)^-1, S = K - a P^-1 b: ber with pivot P = Y, ber* with P = X.
 
-    a and b are odd, so S has the body of K.  K's body is tested before any
-    Lambda product is made, so a singular block raises at once.
+    alpha and beta are odd, so A's body is diag(body X, body Y) and S has the
+    body of K.  The one body test is the whole-matrix test of
+    ``invert_matrix``, made before any Lambda product, so a singular matrix
+    raises at once; P and S are then factored without testing again.
     """
     if not A.is_square():
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
     n = A.n
+    body = A.body()
+    _require_invertible_body(body, "matrix body")
+    k = A.row_shape[0]
     X, alpha, beta, Y = A.blocks()
-    K, a, P, b = (Y, beta, X, alpha) if star else (X, alpha, Y, beta)
-    names = ("reduced even-even block", "reduced odd-odd block")
-    kname, pname = names[::-1] if star else names
-    _require_invertible_body(grid_body(K, len(K)), kname)
-    pbody, pinv, ppowers = _powers(P, n, pname)
+    xbody, ybody = body[:k, :k], body[k:, k:]
+    K, a, P, b, kbody, pbody = ((Y, beta, X, alpha, ybody, xbody) if star
+                                else (X, alpha, Y, beta, xbody, ybody))
+    pinv, ppowers = _series(P, pbody, n)
     S = _grid_sub(K, grid_mul(grid_mul(a, _inverse(pinv, ppowers, n), n), b, n)) if P else K
-    sbody, _, spowers = _powers(S, n, kname)
-    dS, dP_inv = _det(sbody, spowers, n), _det(pbody, ppowers, n).invert()
+    _, spowers = _series(S, kbody, n)
+    dS, dP_inv = _det(kbody, spowers, n), _det(pbody, ppowers, n).invert()
     return dP_inv * dS if star else dS * dP_inv  # each formula's own factor order
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from supercurves.errors import BigCellError, ParityError
-from supercurves.grassmann import GrassmannScalar
+from supercurves.errors import BigCellError, DomainError, ParityError
+from supercurves.grassmann import GrassmannScalar, grid_mul
 from supercurves import sgr
 
 N = 4
@@ -30,20 +30,41 @@ def banded_frame(window):
     return sgr.exp_band_apply(band, sgr.standard_frame(window, N))
 
 
-# -- multiplication matrices -----------------------------------------------------
+def _nonzero(op):
+    """{(row d, col d): value} over the nonzero entries of a window operator."""
+    return {(r, c): op.entries[op.window.pos(r)][op.window.pos(c)]
+            for r in op.window.indices for c in op.window.indices
+            if op.entries[op.window.pos(r)][op.window.pos(c)].terms}
+
+
+def _elementary(window, r, c):
+    op = sgr.WindowOperator.zero(window, N)
+    op.entries[window.pos(r)][window.pos(c)] = g(1)
+    return op
+
+
+# -- window positions and multiplication matrices -----------------------------------
+
+
+def test_pos_is_index_in_window(window):
+    for d in window.indices:
+        assert window.pos(d) == window.indices.index(d)
+    for d in window.neg_indices:
+        assert window.pos(d) == window.neg_indices.index(d)
 
 
 def test_unit_symbol_is_identity(window):
     op, _ = sgr.multiplication_matrix(window, {("z", 0): g(1)}, N)
-    assert sorted(op.entries) == sorted((d, d) for d in window.indices)
-    assert all(v == g(1) for v in op.entries.values())
+    entries = _nonzero(op)
+    assert sorted(entries) == sorted((d, d) for d in window.indices)
+    assert all(v == g(1) for v in entries.values())
 
 
 def test_z_inverse_band_covers_both_lines(window):
     op, _ = sgr.multiplication_matrix(window, {("z", -1): g(1)}, N)
     for d in window.indices:
         if window.contains(d - 2):
-            assert op.entries[(d - 2, d)] == g(1)
+            assert op.entries[window.pos(d - 2)][window.pos(d)] == g(1)
 
 
 def test_lambda_plus_mu_is_z_power(window):
@@ -59,14 +80,14 @@ def test_composition_matches_symbol_product(window):
     sym_b = {(-2, 0): g(1.0 + 0.5j), (1, 1): mono([1], 0.7)}
     a, _ = sgr.multiplication_matrix(window, sgr.symbol_of_jheis(sym_a), N)
     b, _ = sgr.multiplication_matrix(window, sgr.symbol_of_jheis(sym_b), N)
-    prod = a @ b
+    prod = grid_mul(a.entries, b.entries, N)
     want, _ = sgr.multiplication_matrix(
         window, sgr.symbol_of_jheis(sgr.symbol_mul(sym_a, sym_b, N)), N)
     interior = [d for d in window.indices if abs(d) <= 2 * window.M - 6]
     for r in interior:
         for c in interior:
-            lhs = prod.entries.get((r, c), GrassmannScalar.zero(N))
-            rhs = want.entries.get((r, c), GrassmannScalar.zero(N))
+            lhs = prod[window.pos(r)][window.pos(c)]
+            rhs = want.entries[window.pos(r)][window.pos(c)]
             assert (lhs - rhs).norm_inf() < 1e-12
 
 
@@ -83,6 +104,30 @@ def test_parity_enforcement(window):
         sgr.multiplication_matrix(window, {("z", 1): mono([0], 1.0)}, N)
     with pytest.raises(ParityError):
         sgr.multiplication_matrix(window, {("ztheta", 1): g(1.0)}, N)
+
+
+@pytest.mark.parametrize("sym", [{("z", 0): g(0.1)}, {("z", 1): g(0.1), ("z", -1): g(0.1)}],
+                         ids=["diagonal", "both_sides"])
+def test_exp_band_apply_needs_strictly_triangular_band(window, sym):
+    band, _ = sgr.multiplication_matrix(window, sym, N)
+    with pytest.raises(DomainError):
+        sgr.exp_band_apply(band, sgr.standard_frame(window, N))
+
+
+def test_exp_band_apply_inverse_flow_returns_frame(window, banded_frame):
+    sym = {("z", 1): g(0.3 + 0.2j) + mono([0, 1], 0.4), ("ztheta", 1): mono([2], 0.5)}
+    band, _ = sgr.multiplication_matrix(window, sym, N)
+    there = sgr.exp_band_apply(band, banded_frame, 1.0)
+    back = sgr.exp_band_apply(band, there, -1.0)
+    assert max((a - b).norm_inf() for ra, rb in zip(back.entries, banded_frame.entries)
+               for a, b in zip(ra, rb)) < 1e-12
+    assert max((a - b).norm_inf() for ra, rb in zip(there.entries, banded_frame.entries)
+               for a, b in zip(ra, rb)) > 0.1
+
+
+def test_log_of_symbol_with_body_raises():
+    with pytest.raises(DomainError):
+        sgr.symbol_log_unipotent({(-1, 0): g(0.5)}, N)
 
 
 # -- big cell ----------------------------------------------------------------------
@@ -131,6 +176,12 @@ def test_ill_conditioned_minus_block_is_outside_big_cell():
     assert sgr.big_cell_test(frame) == (False, None)
     with pytest.raises(BigCellError):
         sgr.baker_vectors(frame)
+
+
+def test_ill_conditioned_minus_block_has_no_tau():
+    # X and Y bodies are each well conditioned; the whole minus block is not
+    with pytest.raises(BigCellError):
+        sgr.tau(_ill_conditioned_frame(), sgr.HeisenbergElement(2, {}))
 
 
 def test_normalized_frame_has_unit_minus_block(banded_frame):
@@ -332,11 +383,11 @@ def test_cocycle_quarter_form_agrees(window):
 
 def test_cocycle_nonzero_off_jheis(window):
     # single elementary entry in the c-block against its transpose in the b-block
-    X = sgr.WindowOperator(window, N, {(2, 0): g(1)})    # even line, c-block
-    Y = sgr.WindowOperator(window, N, {(0, 2): g(1)})
+    X = _elementary(window, 2, 0)     # even line, c-block
+    Y = _elementary(window, 0, 2)
     assert sgr.cocycle(X, Y) == g(1)
-    Xo = sgr.WindowOperator(window, N, {(1, -1): g(1)})  # odd line: sign flips
-    Yo = sgr.WindowOperator(window, N, {(-1, 1): g(1)})
+    Xo = _elementary(window, 1, -1)   # odd line: sign flips
+    Yo = _elementary(window, -1, 1)
     assert sgr.cocycle(Xo, Yo) == g(-1)
     assert (sgr.cocycle(X, Y) - sgr.cocycle_quarter_form(X, Y)).norm_inf() < 1e-14
     assert (sgr.cocycle(Xo, Yo) - sgr.cocycle_quarter_form(Xo, Yo)).norm_inf() < 1e-14

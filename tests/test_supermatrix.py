@@ -262,6 +262,15 @@ def test_near_singular_body_raises(rng, name):
     assert (det_even(M, n) - lap).norm_inf() <= 1e-12 * max(1.0, lap.norm_inf())
 
 
+def test_ber_tests_the_whole_body():
+    # the X and Y bodies are each well conditioned but 1e12 apart in scale:
+    # the body diag(1e6, 1e-6) fails the one test invert_matrix also applies
+    A = SuperMatrix((1, 1), (1, 1), [[g(1e6), gen(0)], [gen(1), g(1e-6)]])
+    for fn in (invert_matrix, berezinian, berezinian_star):
+        with pytest.raises(NotInvertibleError, match="condition number"):
+            fn(A)
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 def test_non_finite_body_raises(value):
     A = SuperMatrix((1, 0), (1, 0), [[g(value)]])
