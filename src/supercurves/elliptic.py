@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ParityError
 from .grassmann import GrassmannScalar, as_grassmann
 from .supermatrix import SuperMatrix, berezinian
-from .theta import CHAR_ODD, ThetaContext, theta, theta_derivative
+from .theta import CHAR_ODD, ThetaContext, theta_jet
 
 TWO_PI_I = 2j * math.pi
 
@@ -60,15 +60,13 @@ class SuperEllipticData:
                             N=self.theta_N, characteristic=CHAR_ODD, n_gens=self.n)
 
 
-def _theta_ratios(ctx: ThetaContext, x: GrassmannScalar, n: int
+def _theta_ratios(ctx: ThetaContext, x: GrassmannScalar
                   ) -> Tuple[GrassmannScalar, GrassmannScalar, GrassmannScalar]:
     """(Theta'/Theta, Theta''/Theta, [log Theta]'') at the even argument x."""
-    t0 = theta(ctx, [x])
+    t0, t1, t2 = theta_jet(ctx, [x], [(0,), (1,), (2,)])
     if abs(t0.body) < 1e-12:
         raise DomainError("theta vanishes at the evaluation body")
     inv = t0.invert()
-    t1 = theta_derivative(ctx, [x], (1,))
-    t2 = theta_derivative(ctx, [x], (2,))
     r1 = t1 * inv
     r2 = t2 * inv
     return r1, r2, r2 - r1 * r1
@@ -85,8 +83,8 @@ def baker_matrix(d: SuperEllipticData) -> SuperMatrix:
     ctx = d.context()
     n = d.n
     ad = d.alpha * d.delta
-    r1_a, _, lt2_a = _theta_ratios(ctx, d.a, n)
-    r1_za, _, lt2_za = _theta_ratios(ctx, d.zeta - d.a, n)
+    r1_a, _, lt2_a = _theta_ratios(ctx, d.a)
+    r1_za, _, lt2_za = _theta_ratios(ctx, d.zeta - d.a)
     c = 1.0 / TWO_PI_I
     b00 = GrassmannScalar.one(n) + ad * ((r1_a * r1_za + r1_a * r1_a) * c)
     b01 = d.alpha * r1_a
@@ -101,8 +99,8 @@ def tau_ratio(d: SuperEllipticData) -> GrassmannScalar:
     n = d.n
     ad = d.alpha * d.delta
     c = 1.0 / TWO_PI_I
-    _, _, lt2_num = _theta_ratios(ctx, d.a - d.zeta, n)
-    _, _, lt2_den = _theta_ratios(ctx, d.a, n)
+    _, _, lt2_num = _theta_ratios(ctx, d.a - d.zeta)
+    _, _, lt2_den = _theta_ratios(ctx, d.a)
     num = GrassmannScalar.one(n) - ad * (lt2_num * c)
     den = GrassmannScalar.one(n) - ad * (lt2_den * c)
     return num * den.invert()
@@ -113,7 +111,7 @@ def tau_closed_form(d: SuperEllipticData, a: GrassmannScalar | None = None) -> G
     ctx = d.context()
     n = d.n
     x = d.a if a is None else as_grassmann(a, n)
-    _, _, lt2 = _theta_ratios(ctx, x, n)
+    _, _, lt2 = _theta_ratios(ctx, x)
     return GrassmannScalar.one(n) - (d.alpha * d.delta) * (lt2 * (1.0 / TWO_PI_I))
 
 

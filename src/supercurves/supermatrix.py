@@ -375,19 +375,18 @@ def _quasidet_functional(A: SuperMatrix, i: int, j: int):
     """y -> |A_i(y)|_{ij} = y_j - sum_{p!=j, q!=i} y_p c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
 
     The column contraction sum_q c_pq a_qj is precomputed once, so each row y
-    costs one product per slot.
+    costs one product per nonzero slot.
     """
     m = A.nrows
     C = invert_matrix(A.delete(i, j))
     column = [[row[j]] for q, row in enumerate(A.entries) if q != i]
     corr = grid_mul(C.entries, column, A.n)
-    # a zero row at slot j, so that y enters whole and B is never empty
-    corr.insert(j, [GrassmannScalar.zero(A.n)])
+    slots = [(p, c) for p, (c,) in zip((p for p in range(m) if p != j), corr) if c.terms]
 
     def evaluate(y):
         if len(y) != m:
             raise DimensionError("substituted row has wrong length")
-        return y[j] - grid_mul([y], corr, A.n)[0][0]
+        return y[j] - sum((y[p] * c for p, c in slots if y[p].terms), GrassmannScalar.zero(A.n))
 
     return evaluate
 

@@ -11,6 +11,9 @@ the complex bodies: the soul exponent of every lattice term is a linear
 combination of finitely many even nilpotents with polynomial-in-n weights, so
 the expansion reduces to complex moment sums over the truncated lattice.
 
+One argument z costs one lattice pass (``theta_jet``): Theta and every z-derivative
+d^m Theta it needs are weight rows prod_j (2 pi i n_j)^{m_j} on the same sum.
+
 The odd characteristic Theta_11 is realized by the half-integer shift of the
 same sum.  Super theta functions are built by repeatedly applying
 
@@ -86,8 +89,8 @@ class ThetaContext:
             return 0.5, 0.5
         return 0.0, 0.0
 
-    def lattice(self, N: int | None = None) -> np.ndarray:
-        N = self.N if N is None else N
+    def lattice(self) -> np.ndarray:
+        N = self.N
         pts = self._lattice_cache.get(N)
         if pts is None:
             a, _ = self._char_offsets()
@@ -132,19 +135,16 @@ def _soul_basis(ctx: ThetaContext, zs: List[GrassmannScalar], P: np.ndarray, n: 
     return basis
 
 
-def _taylor_sum(n: int, basis, weights: np.ndarray) -> GrassmannScalar:
-    """Exact expansion of sum_n w_n exp(sum_b c_b(n) G_b) over commuting nilpotents."""
-    total = GrassmannScalar.scalar(n, complex(weights.sum()))
-    if not basis:
-        return total
-
+def _taylor_sum(n: int, basis, weights: np.ndarray) -> List[GrassmannScalar]:
+    """Exact expansion of sum_n w_rn exp(sum_b c_b(n) G_b) for every weight row r."""
+    totals = [GrassmannScalar.scalar(n, complex(s)) for s in weights.sum(axis=1)]
     nb = len(basis)
 
     # exp(sum x_b G_b) over commuting nilpotents: iterate non-decreasing index
-    # multisets, each carrying 1/prod(multiplicity!) tracked by run length.
+    # multisets, each carrying 1/prod(multiplicity!) tracked by run length; the
+    # product of a multiset's nilpotents is formed once and shared by all rows.
     def extend_exact(start: int, gprod: GrassmannScalar, warr: np.ndarray,
                      factor: float, run_b: int, run_len: int):
-        nonlocal total
         for b in range(start, nb):
             G_b, w_b = basis[b]
             g2 = gprod * G_b
@@ -153,19 +153,19 @@ def _taylor_sum(n: int, basis, weights: np.ndarray) -> GrassmannScalar:
             rl = run_len + 1 if b == run_b else 1
             f2 = factor / rl
             w2 = warr * w_b
-            total = total + g2 * (f2 * complex(w2.sum()))
+            for r, s in enumerate(w2.sum(axis=1)):
+                totals[r] = totals[r] + g2 * (f2 * complex(s))
             extend_exact(b, g2, w2, f2, b, rl)
 
-    ones = np.ones_like(weights)
-    extend_exact(0, GrassmannScalar.one(n), weights * ones, 1.0, -1, 0)
-    return total
+    extend_exact(0, GrassmannScalar.one(n), weights, 1.0, -1, 0)
+    return totals
 
 
-def _lattice_sum(ctx: ThetaContext, z: Sequence, weight=None) -> GrassmannScalar:
-    """sum_n w(n) exp(pi i n^t Z n + 2 pi i n^t z) over the truncated lattice.
+def _lattice_sum(ctx: ThetaContext, z: Sequence, weight) -> List[GrassmannScalar]:
+    """sum_n w_r(n) exp(pi i n^t Z n + 2 pi i n^t z) over the truncated lattice, for each row r.
 
-    ``weight`` maps the lattice points P to their weights w (all ones when
-    None); the nilpotent parts of z and Z are expanded exactly.
+    ``weight`` maps the lattice points P to a (rows, points) array; the nilpotent
+    parts of z and Z are expanded exactly.
     """
     z0, zs, n = _split_argument(ctx, z)
     P = ctx.lattice()
@@ -173,10 +173,27 @@ def _lattice_sum(ctx: ThetaContext, z: Sequence, weight=None) -> GrassmannScalar
     quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
     lin = P @ (z0 + b_off)
     c = np.exp(PI_I * quad + TWO_PI_I * lin)
-    if weight is not None:
-        c = c * weight(P)
-    basis = _soul_basis(ctx, zs, P, n)
-    return _taylor_sum(n, basis, c)
+    return _taylor_sum(n, _soul_basis(ctx, zs, P, n), c * weight(P))
+
+
+def theta_jet(ctx: ThetaContext, z: Sequence, derivs: Sequence[Sequence[int]]
+              ) -> List[GrassmannScalar]:
+    """d^|m| Theta / dz^m at z for each multi-index m in ``derivs``, from one lattice pass."""
+    for m in derivs:
+        if len(m) != ctx.genus:
+            raise DimensionError("derivative multi-index has wrong length")
+        if sum(m) > _MAX_DERIVATIVE_ORDER:
+            raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
+
+    def weight(P):
+        w = np.ones((len(derivs), len(P)), dtype=complex)
+        for r, m in enumerate(derivs):
+            for j, mj in enumerate(m):
+                for _ in range(mj):
+                    w[r] = w[r] * (TWO_PI_I * P[:, j])
+        return w
+
+    return _lattice_sum(ctx, z, weight)
 
 
 def theta(ctx: ThetaContext, z: Sequence, deriv: Sequence[int] | None = None) -> GrassmannScalar:
@@ -184,32 +201,18 @@ def theta(ctx: ThetaContext, z: Sequence, deriv: Sequence[int] | None = None) ->
 
     ``deriv`` is an optional z-derivative multi-index applied term by term.
     """
-    if deriv is None:
-        return _lattice_sum(ctx, z)
-    if len(deriv) != ctx.genus:
-        raise DimensionError("derivative multi-index has wrong length")
-    if sum(deriv) > _MAX_DERIVATIVE_ORDER:
-        raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
-
-    def weight(P):
-        w = np.ones(len(P), dtype=complex)
-        for j, mj in enumerate(deriv):
-            for _ in range(mj):
-                w = w * (TWO_PI_I * P[:, j])
-        return w
-
-    return _lattice_sum(ctx, z, weight)
+    return theta_jet(ctx, z, [(0,) * ctx.genus if deriv is None else deriv])[0]
 
 
 def theta_derivative(ctx: ThetaContext, z: Sequence, order: Sequence[int]) -> GrassmannScalar:
     """d^|order| Theta / dz^order, same truncation as ``theta``."""
-    return theta(ctx, z, deriv=order)
+    return theta_jet(ctx, z, [order])[0]
 
 
 def theta_Z_derivative(ctx: ThetaContext, z: Sequence, jk: Tuple[int, int]) -> GrassmannScalar:
     """d Theta / d Z_jk in the independent-entry convention (factor pi i n_j n_k)."""
     j, k = jk
-    return _lattice_sum(ctx, z, lambda P: PI_I * P[:, j] * P[:, k])
+    return _lattice_sum(ctx, z, lambda P: (PI_I * P[:, j] * P[:, k])[None])[0]
 
 
 # -- super theta functions ---------------------------------------------------------
@@ -236,13 +239,11 @@ class SuperThetaFunction:
         n = self.n_gens
         zg = [v.embed(n) if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
               for v in z]
+        coeffs = {m: c.substitute(eta_images) if eta_images else c for m, c in self.terms.items()}
+        coeffs = {m: c for m, c in coeffs.items() if c.terms}
         out = GrassmannScalar.zero(n)
-        for m, coeff in self.terms.items():
-            if eta_images:
-                coeff = coeff.substitute(eta_images)
-            if not coeff.terms:
-                continue
-            out = out + coeff * theta(self.ctx, zg, deriv=m)
+        for coeff, value in zip(coeffs.values(), theta_jet(self.ctx, zg, list(coeffs))):
+            out = out + coeff * value
         return out
 
     def eta_decomposition(self) -> Dict[int, Dict[Tuple[int, ...], GrassmannScalar]]:

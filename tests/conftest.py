@@ -26,3 +26,19 @@ def algebra():
     """Common 4-generator setup used across the matrix tests."""
     n = 4
     return n, [GrassmannScalar.generator(n, i) for i in range(n)]
+
+
+@pytest.fixture
+def lattice_reads(monkeypatch):
+    """A list that gains one entry per ThetaContext.lattice call, i.e. per lattice pass."""
+    from supercurves.theta import ThetaContext
+
+    reads = []
+    original = ThetaContext.lattice
+
+    def counted(self):
+        reads.append(self)
+        return original(self)
+
+    monkeypatch.setattr(ThetaContext, "lattice", counted)
+    return reads

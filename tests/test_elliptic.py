@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from supercurves.errors import DomainError, ParityError
 from supercurves.grassmann import GrassmannScalar
 from supercurves.supermatrix import berezinian
+from supercurves.theta import ThetaContext, theta, theta_derivative
 from supercurves import elliptic as ell
 
 N = 2
@@ -99,3 +101,21 @@ def test_soul_arguments_supported():
     d = ell.SuperEllipticData(tau_modulus=2j, delta=DELTA, a=g(0.3) + soul,
                               alpha=ALPHA, zeta=g(0.1), n=N)
     assert ell.ber_check_residual(d) < 1e-6
+
+
+def test_theta_ratios_read_the_lattice_once(lattice_reads):
+    # x carries a soul and Z a soul, so the nilpotent Taylor products are shared by all rows
+    n = 4
+    ctx = ThetaContext(genus=1, Z_red=np.array([[0.1 + 1.3j]]), characteristic="11", n_gens=n,
+                       Z_soul=[[GrassmannScalar.monomial(n, [2, 3], 0.2 - 0.1j)]])
+    x = GrassmannScalar.scalar(n, 0.27 + 0.08j) + GrassmannScalar.monomial(n, [0, 1], 0.3)
+    lattice_reads.clear()
+    r1, r2, lt2 = ell._theta_ratios(ctx, x)
+    assert len(lattice_reads) == 1
+    inv = theta(ctx, [x]).invert()
+    want1 = theta_derivative(ctx, [x], (1,)) * inv
+    want2 = theta_derivative(ctx, [x], (2,)) * inv
+    assert len(r1.terms) == 4
+    assert (r1 - want1).norm_inf() < 1e-12
+    assert (r2 - want2).norm_inf() < 1e-12
+    assert (lt2 - (want2 - want1 * want1)).norm_inf() < 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from supercurves.errors import DomainError, ParityError
+from supercurves.errors import DimensionError, DomainError, ParityError
 from supercurves.grassmann import GrassmannScalar
 from supercurves.theta import (
     ThetaContext,
@@ -11,6 +11,7 @@ from supercurves.theta import (
     theta,
     theta_Z_derivative,
     theta_derivative,
+    theta_jet,
 )
 
 
@@ -159,6 +160,81 @@ def test_odd_argument_rejected(ctx_g2):
 def test_derivative_order_cap(ctx_g2):
     with pytest.raises(DomainError):
         theta_derivative(ctx_g2, [0.0, 0.0], (3, 2))
+    # every multi-index of a jet is checked, not only the first
+    with pytest.raises(DomainError):
+        theta_jet(ctx_g2, [0.0, 0.0], [(0, 0), (3, 2)])
+    with pytest.raises(DimensionError):
+        theta_jet(ctx_g2, [0.0, 0.0], [(1, 0), (1,)])
+
+
+@pytest.mark.parametrize("characteristic", ["0", "11"])
+def test_genus_two_against_mpmath_direct_sum(characteristic):
+    # independent oracle: the lattice sum and its z-derivatives at 30 digits, |n_i| <= 14
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    Z = np.array([[0.3 + 1.2j, 0.25 + 0.4j], [0.25 + 0.4j, -0.1 + 0.9j]])
+    z = [0.21 - 0.08j, -0.13 + 0.11j]
+    ctx = ThetaContext(genus=2, Z_red=Z, characteristic=characteristic)
+    shift = mp.mpf(1) / 2 if characteristic == "11" else mp.mpf(0)
+    Zm = [[mp.mpc(Z[j, k].real, Z[j, k].imag) for k in range(2)] for j in range(2)]
+    zm = [mp.mpc(v.real, v.imag) + shift for v in z]
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    want = {m: mp.mpc(0) for m in orders}
+    for n0 in range(-14, 15):
+        for n1 in range(-14, 15):
+            P = (n0 + shift, n1 + shift)
+            quad = sum(P[j] * Zm[j][k] * P[k] for j in range(2) for k in range(2))
+            term = mp.exp(mp.pi * 1j * quad + 2 * mp.pi * 1j * (P[0] * zm[0] + P[1] * zm[1]))
+            for m in orders:
+                want[m] += term * (2 * mp.pi * 1j * P[0]) ** m[0] * (2 * mp.pi * 1j * P[1]) ** m[1]
+    got = theta_jet(ctx, z, orders)
+    for m, value in zip(orders, got):
+        w = complex(want[m])
+        assert abs(value.body - w) < 1e-10 * abs(w), (m, value.body, w)
+        assert abs(theta_derivative(ctx, z, m).body - w) < 1e-10 * abs(w)
+
+
+# -- one lattice pass per argument -------------------------------------------------
+
+
+def _soul_g3():
+    """Plain Theta at g = 3 with an even nilpotent Z_soul and a soul in z."""
+    n = 4
+    Z = np.array([[1.1j, 0.2 + 0.1j, 0.1], [0.2 + 0.1j, 1.3j, 0.15 + 0.05j],
+                  [0.1, 0.15 + 0.05j, 1.2j]])
+    c = np.array([[0.1, 0.05j, -0.02], [0.05j, 0.2, 0.03], [-0.02, 0.03, -0.1j]])
+    soul = [[GrassmannScalar.monomial(n, [2, 3], c[j, k]) for k in range(3)] for j in range(3)]
+    ctx = ThetaContext(genus=3, Z_red=Z, Z_soul=soul, n_gens=n)
+    z = [GrassmannScalar.scalar(n, v) + GrassmannScalar.monomial(n, [0, 1], 0.2 * (j + 1))
+         for j, v in enumerate([0.11 + 0.04j, -0.2 + 0.07j, 0.05 - 0.1j])]
+    return build_super_theta(ctx, None, [], eta_gens=[0, 1], n_gens=n), z, None
+
+
+def _super_g3_two_alphas():
+    """H_0 H_1 Theta at g = 3 with Z_o != 0, evaluated at shifted eta images."""
+    n = 4
+    Z = np.array([[1.2j, 0.3 + 0.1j, -0.1], [0.3 + 0.1j, 1.0j, 0.2], [-0.1, 0.2, 1.4j]])
+    Zo = [[GrassmannScalar.monomial(n, [2 + a], 0.3 + 0.1 * (i + a)) for a in range(2)]
+          for i in range(3)]
+    f = build_super_theta(ThetaContext(genus=3, Z_red=Z), Zo, [0, 1], eta_gens=[0, 1], n_gens=n)
+    images = {a: GrassmannScalar.generator(n, a) + Zo[1][a] for a in range(2)}
+    return f, [0.13 - 0.05j, 0.02 + 0.09j, -0.11 + 0.03j], images
+
+
+@pytest.mark.parametrize("case", [_soul_g3, _super_g3_two_alphas])
+def test_evaluate_is_one_pass_over_the_derivative_terms(case, lattice_reads):
+    f, z, images = case()
+    for eta in (None, images):
+        lattice_reads.clear()
+        got = f.evaluate(z, eta)
+        assert len(lattice_reads) == 1
+        want = GrassmannScalar.zero(f.n_gens)
+        for m, coeff in f.terms.items():
+            coeff = coeff.substitute(eta) if eta else coeff
+            want = want + coeff * theta(f.ctx, z, deriv=m).embed(f.n_gens)
+        assert got.terms
+        assert (got - want).norm_inf() < 1e-12
 
 
 # -- super theta construction ------------------------------------------------------
