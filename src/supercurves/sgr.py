@@ -210,6 +210,35 @@ def symbol_log_unipotent(u: Mapping[SymbolKey, GrassmannScalar],
     return out
 
 
+def symbol_exp(s: Mapping[SymbolKey, GrassmannScalar], n: int,
+               order: int) -> Dict[SymbolKey, GrassmannScalar]:
+    """exp(s) for an even symbol of negative degree, without the terms of grade >= order.
+
+    The grade of z^m is -2m and of z^m theta is 1 - 2m: minus the doubled
+    index shift of the key, so each grade holds one key and grades add under
+    ``symbol_mul``.  With s_j the grade-j part and E_0 = 1, the grades of
+    E = exp(s) follow E_k = (1/k) sum_j j s_j E_(k-j) (Brent & Kung, J. ACM 25,
+    1978), which holds because the even symbol s commutes with E.
+    """
+    parts = {}
+    for (m, t), c in s.items():
+        j = t - 2 * m
+        if j <= 0:
+            raise DomainError("symbol_exp needs keys of negative degree")
+        if c.terms and c.parity() != t:
+            raise ParityError(f"coefficient of key {(m, t)} breaks evenness")
+        parts[j] = {(m, t): c}
+    grades: List[Dict[SymbolKey, GrassmannScalar]] = [{(0, 0): GrassmannScalar.one(n)}]
+    for k in range(1, order):
+        Ek: Dict[SymbolKey, GrassmannScalar] = {}
+        for j, sj in parts.items():
+            if j <= k:
+                for key, c in symbol_mul(sj, grades[k - j], n).items():
+                    _accumulate(Ek, key, c * (j / k))
+        grades.append(Ek)
+    return {key: c for Ek in grades for key, c in Ek.items()}
+
+
 # -- frames ------------------------------------------------------------------------------
 
 
@@ -494,9 +523,20 @@ def tau(frame: TruncatedFrame, t: HeisenbergElement) -> TauValue:
 
 
 def flowed_frame(frame: TruncatedFrame, t: HeisenbergElement) -> TruncatedFrame:
-    """gamma(t)^-1 . W inside the window."""
-    band, _ = flow_band(frame.window, t)
-    return exp_band_apply(band, frame, prefactor=-1.0)
+    """gamma(t)^-1 . W inside the window, as one product.
+
+    gamma(t)^-1 is multiplication by the symbol exp(-t), whose terms of grade
+    4M and more shift every index out of the window.  The flow band B is
+    strictly triangular, so every intermediate index of a product of its
+    entries lies between the outer two; restricting to the contiguous window
+    P therefore commutes with products, P exp(-B) P = exp(-P B P).  So the
+    window matrix of exp(-t) equals the band exponential of ``exp_band_apply``,
+    which stays as the independent route.
+    """
+    window, n = frame.window, t.n
+    gamma_inv = symbol_exp({key: -c for key, c in t.symbol().items()}, n, len(window.indices))
+    op, _ = multiplication_matrix(window, symbol_of_jheis(gamma_inv), n)
+    return TruncatedFrame(window, frame.n, grid_mul(op.entries, frame.entries, frame.n))
 
 
 # -- Baker-tau quotient ---------------------------------------------------------------

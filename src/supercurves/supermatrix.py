@@ -19,7 +19,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, ParityError
-from .grassmann import GrassmannScalar, grid_body, grid_mul, grid_zeros, sign_of_merge
+from .grassmann import (GrassmannScalar, array_grid, array_mul, grid_array, grid_body, grid_mul,
+                        grid_zeros, sign_of_merge)
 
 Shape = Tuple[int, int]
 
@@ -174,14 +175,6 @@ class SuperMatrix:
 
 # -- raw grid helpers ----------------------------------------------------------
 
-def _grid_soul(G):
-    return [[e.soul() for e in row] for row in G]
-
-
-def _grid_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def _require_invertible_body(body: np.ndarray, what: str) -> None:
     """Raise NotInvertibleError unless sigma_min(body) > _BODY_TOL * sigma_max(body).
 
@@ -242,53 +235,57 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
     return rec(full)
 
 
-def _powers(M, n: int, what: str):
-    """Factor a square Lambda grid once: (body, body^-1, [N, N^2, ...]), N = body^-1 soul.
+def _factor(D: np.ndarray, n: int, what: str):
+    """Factor a square grid held as an array (``grid_array``) once.
 
-    Runs the body test, then the series of ``_series``.
+    Runs the body test and returns (body, body^-1, [N, N^2, ...]) with
+    N = body^-1 soul, the powers as arrays; see ``_series``.
     """
-    body = grid_body(M, len(M))
+    body = D[0]
     _require_invertible_body(body, what)
-    return (body, *_series(M, body, n))
+    return (body, *_series(D, body, n))
 
 
-def _series(M, body: np.ndarray, n: int):
-    """(body^-1, [N, N^2, ...]) for a grid whose body has passed the body test.
+def _series(D: np.ndarray, body: np.ndarray, n: int):
+    """(body^-1, [N, N^2, ...]) for a grid array whose body has passed the body test.
 
-    The powers stop at the first zero one, which nilpotency of N guarantees.
-    The inverse and the determinant are both read off this one list.
+    body^-1 is central, so N is one matrix product per monomial.  The powers
+    stay arrays and stop at the first zero one, which nilpotency of N
+    guarantees.  The inverse and the determinant are both read off this list.
     """
-    binv = np.linalg.inv(body).tolist()
-    N = grid_mul(binv, _grid_soul(M), n)
+    binv = np.linalg.inv(body)
+    N = np.matmul(binv, D)
+    N[0] = 0  # body^-1 times the soul
     powers = []
     power = N
-    while any(e.terms for row in power for e in row):
+    while power.any():
         powers.append(power)
-        power = grid_mul(power, N, n)
+        power = array_mul(power, N, n)
     return binv, powers
 
 
-def _inverse(binv, powers, n: int):
-    """(sum_r (-N)^r) body^-1 from the factorization of ``_powers``."""
-    m = len(binv)
-    acc = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
-           for i in range(m)]
+def _inverse(binv: np.ndarray, powers, n: int) -> np.ndarray:
+    """(sum_r (-N)^r) body^-1 from the factorization of ``_factor``, as an array."""
+    acc = np.zeros((1 << n, *binv.shape), dtype=complex)
+    acc[0] = np.eye(len(binv))
     for r, power in enumerate(powers):
-        sign = (-1.0) ** (r + 1)
-        acc = [[a + p * sign for a, p in zip(ra, rp)] for ra, rp in zip(acc, power)]
-    return grid_mul(acc, binv, n)
+        acc += power if r % 2 else -power
+    return np.matmul(acc, binv)
 
 
-def _det(body, powers, n: int) -> GrassmannScalar:
+def _det(body: np.ndarray, powers, n: int) -> GrassmannScalar:
     """det(body) exp(sum_r (-1)^(r+1) tr(N^r)/r) for a grid of even entries."""
-    logdet = GrassmannScalar.zero(n)
+    logdet = np.zeros(1 << n, dtype=complex)
     for r, power in enumerate(powers, 1):
-        tr = GrassmannScalar.zero(n)
-        for i, row in enumerate(power):
-            tr = tr + row[i]
-        if tr.terms:
-            logdet = logdet + tr * ((-1.0) ** (r + 1) / r)
+        logdet += np.trace(power, axis1=1, axis2=2) * ((-1.0) ** (r + 1) / r)
+    logdet = GrassmannScalar(n, {m: c for m, c in enumerate(logdet.tolist()) if c})
     return logdet.exp() * complex(np.linalg.det(body))
+
+
+def _inverse_grid(M, n: int):
+    """The inverse of a square grid with invertible body."""
+    _, binv, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
+    return array_grid(_inverse(binv, powers, n), n)
 
 
 def det_even(M, n: int | None = None) -> GrassmannScalar:
@@ -307,7 +304,7 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
         raise DimensionError("determinant of a non-square matrix")
     _require_even_entries(M)
     try:
-        body, _, powers = _powers(M, n, "matrix body")
+        body, _, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
     except NotInvertibleError:
         return det_even_laplace(M, n)
     return _det(body, powers, n)
@@ -315,8 +312,7 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
 
 def invert_even(M, n: int):
     """Inverse of a square matrix of even elements with invertible body."""
-    _, binv, powers = _powers(M, n, "matrix body")
-    return _inverse(binv, powers, n)
+    return _inverse_grid(M, n)
 
 
 # -- Berezinians ----------------------------------------------------------------
@@ -333,15 +329,16 @@ def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
     n = A.n
-    body = A.body()
+    D = grid_array(A.entries, A.ncols, n)
+    body = D[0]
     _require_invertible_body(body, "matrix body")
     k = A.row_shape[0]
-    X, alpha, beta, Y = A.blocks()
+    X, alpha, beta, Y = D[:, :k, :k], D[:, :k, k:], D[:, k:, :k], D[:, k:, k:]
     xbody, ybody = body[:k, :k], body[k:, k:]
     K, a, P, b, kbody, pbody = ((Y, beta, X, alpha, ybody, xbody) if star
                                 else (X, alpha, Y, beta, xbody, ybody))
     pinv, ppowers = _series(P, pbody, n)
-    S = _grid_sub(K, grid_mul(grid_mul(a, _inverse(pinv, ppowers, n), n), b, n)) if P else K
+    S = K - array_mul(array_mul(a, _inverse(pinv, ppowers, n), n), b, n)
     _, spowers = _series(S, kbody, n)
     dS, dP_inv = _det(kbody, spowers, n), _det(pbody, ppowers, n).invert()
     return dP_inv * dS if star else dS * dP_inv  # each formula's own factor order
@@ -361,8 +358,7 @@ def invert_matrix(A: SuperMatrix) -> SuperMatrix:
     """Exact inverse of a square matrix with invertible body (Neumann series)."""
     if not A.is_square():
         raise DimensionError("inverse of a non-square supermatrix")
-    _, binv, powers = _powers(A.entries, A.n, "matrix body")
-    return SuperMatrix(A.row_shape, A.col_shape, _inverse(binv, powers, A.n))
+    return SuperMatrix(A.row_shape, A.col_shape, _inverse_grid(A.entries, A.n))
 
 
 # -- quasideterminants -----------------------------------------------------------

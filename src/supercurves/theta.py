@@ -81,7 +81,7 @@ class ThetaContext:
                     if e.body != 0 or (e.terms and e.parity() != 0):
                         raise ParityError("Z_soul entries must be even with zero body")
                     self.n_gens = max(self.n_gens, e.n)
-        self._lattice_cache: Dict[int, np.ndarray] = {}
+        self._lattice_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     # characteristic offsets: Theta[a,b](z) = sum exp(pi i P Z P + 2 pi i P (z+b)), P = n+a
     def _char_offsets(self) -> Tuple[float, float]:
@@ -90,15 +90,22 @@ class ThetaContext:
         return 0.0, 0.0
 
     def lattice(self) -> np.ndarray:
+        return self._lattice_plan()[0]
+
+    def quad_form(self) -> np.ndarray:
+        """n^t Z_red n at each point of ``lattice()``; z-independent, so built with it."""
+        return self._lattice_plan()[1]
+
+    def _lattice_plan(self) -> Tuple[np.ndarray, np.ndarray]:
         N = self.N
-        pts = self._lattice_cache.get(N)
-        if pts is None:
+        plan = self._lattice_cache.get(N)
+        if plan is None:
             a, _ = self._char_offsets()
             axes = [np.arange(-N, N + 1, dtype=float) + a] * self.genus
             grid = np.meshgrid(*axes, indexing="ij")
             pts = np.stack([g.ravel() for g in grid], axis=1)
-            self._lattice_cache[N] = pts
-        return pts
+            plan = self._lattice_cache[N] = (pts, np.einsum("ij,jk,ik->i", pts, self.Z_red, pts))
+        return plan
 
 
 def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, List[GrassmannScalar], int]:
@@ -170,9 +177,8 @@ def _lattice_sum(ctx: ThetaContext, z: Sequence, weight) -> List[GrassmannScalar
     z0, zs, n = _split_argument(ctx, z)
     P = ctx.lattice()
     _, b_off = ctx._char_offsets()
-    quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
     lin = P @ (z0 + b_off)
-    c = np.exp(PI_I * quad + TWO_PI_I * lin)
+    c = np.exp(PI_I * ctx.quad_form() + TWO_PI_I * lin)
     return _taylor_sum(n, _soul_basis(ctx, zs, P, n), c * weight(P))
 
 

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercurves.errors import DimensionError, NotInvertibleError, ParityError
-from supercurves.grassmann import GrassmannScalar, RealStructure, grid_mul, random_element
+from supercurves.grassmann import (MAX_GENERATORS, GrassmannScalar, RealStructure, grid_mul,
+                                   random_element)
 from supercurves.supermatrix import left_mult_operator
 
 N = 3
@@ -153,8 +154,8 @@ def test_mismatched_algebras():
 
 def test_generator_cap():
     with pytest.raises(DimensionError):
-        GrassmannScalar.zero(17)
-    GrassmannScalar.zero(16)
+        GrassmannScalar.zero(13)
+    GrassmannScalar.zero(12)
 
 
 def test_json_roundtrip(rng):
@@ -218,3 +219,76 @@ def test_grid_mul_against_multiplication_operators(rng, left_complex, right_comp
 def test_grid_mul_rejects_inner_mismatch():
     with pytest.raises(DimensionError):
         grid_mul([[one(), one()]], [[one()]], N)
+
+
+# -- grid_mul against the entrywise definition -------------------------------------
+
+
+def _entrywise(A, B, n):
+    """sum_r a_ir b_rj with GrassmannScalar.__mul__, complex entries lifted into Lambda."""
+    lift = lambda x: x if isinstance(x, GrassmannScalar) else GrassmannScalar.scalar(n, x)
+    cols = len(B[0]) if B else 0
+    return [[sum((lift(a) * lift(B[r][j]) for r, a in enumerate(row)), GrassmannScalar.zero(n))
+             for j in range(cols)] for row in A]
+
+
+def _assert_grids_close(got, want, tol=1e-12):
+    assert len(got) == len(want)
+    for grow, wrow in zip(got, want):
+        assert len(grow) == len(wrow)
+        for x, y in zip(grow, wrow):
+            assert (x - y).norm_inf() <= tol
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 6])
+@pytest.mark.parametrize("left_complex,right_complex", [(False, False), (True, False),
+                                                        (False, True)],
+                         ids=["lambda-lambda", "complex-lambda", "lambda-complex"])
+def test_grid_mul_matches_entrywise_products(rng, n, left_complex, right_complex):
+    # mixed-parity entries, zero entries and an all-zero first row
+    A = _random_grid(rng, 4, 3, n, left_complex)
+    B = _random_grid(rng, 3, 5, n, right_complex)
+    _assert_grids_close(grid_mul(A, B, n), _entrywise(A, B, n))
+
+
+def test_grid_mul_homogeneous_parities(rng):
+    n = 4
+    A = [[random_element(rng, n, parity=(i + r) & 1) for r in range(3)] for i in range(3)]
+    B = [[random_element(rng, n, parity=(r + j) & 1) for j in range(2)] for r in range(3)]
+    out = grid_mul(A, B, n)
+    _assert_grids_close(out, _entrywise(A, B, n))
+    assert all(e.parity() == (i + j) & 1 for i, row in enumerate(out) for j, e in enumerate(row))
+
+
+def test_grid_mul_at_the_generator_cap(rng):
+    n = MAX_GENERATORS
+    sparse = lambda: GrassmannScalar(n, {int(m): complex(rng.standard_normal(), rng.standard_normal())
+                                         for m in rng.integers(0, 1 << n, size=6)})
+    A = [[sparse() for _ in range(2)] for _ in range(2)]
+    B = [[sparse() for _ in range(2)] for _ in range(2)]
+    _assert_grids_close(grid_mul(A, B, n), _entrywise(A, B, n))
+
+
+def test_grid_mul_without_rows():
+    B = [[one(), gen(0)]]
+    assert grid_mul([], B, N) == []
+    assert grid_mul([[one()]], [[]], N) == [[]]
+
+
+def test_grid_mul_keeps_exact_zeros():
+    b0, b1 = gen(0), gen(1)
+    # (0, 0): b0 b0 has no disjoint pair; (0, 1): b0 b1 + b1 b0 cancels exactly
+    out = grid_mul([[b0, b1]], [[b0, b1], [GrassmannScalar.zero(N), b0]], N)
+    assert out[0][0].terms == {}
+    assert out[0][1].terms == {}
+    out = grid_mul([[b0]], [[b1 * 2.0]], N)
+    assert out[0][0].terms == {0b011: 2.0 + 0j}
+
+
+def test_grid_mul_of_even_frames_stays_even(rng):
+    from supercurves import sgr
+
+    window = sgr.TruncationWindow(4)
+    W = sgr.random_big_cell_frame(rng, window, 4)
+    square = [W.entries[window.pos(d)] for d in window.neg_indices]
+    sgr.TruncatedFrame(window, 4, grid_mul(W.entries, square, 4)).require_even()

@@ -1,8 +1,12 @@
+import math
+
+import numpy as np
 import pytest
 
 from supercurves.errors import BigCellError, DomainError, ParityError
-from supercurves.grassmann import GrassmannScalar, grid_mul
-from supercurves import sgr
+from supercurves.grassmann import GrassmannScalar, grid_mul, random_element
+from supercurves.supermatrix import berezinian
+from supercurves import acceptance, sgr
 
 N = 4
 
@@ -128,6 +132,81 @@ def test_exp_band_apply_inverse_flow_returns_frame(window, banded_frame):
 def test_log_of_symbol_with_body_raises():
     with pytest.raises(DomainError):
         sgr.symbol_log_unipotent({(-1, 0): g(0.5)}, N)
+
+
+def test_symbol_exp_of_one_key_is_the_taylor_series():
+    c = 0.3 - 0.2j
+    out = sgr.symbol_exp({(-1, 0): g(c)}, N, 9)  # grades 2, 4, 6, 8 below 9
+    want = {(-k, 0): c ** k / math.factorial(k) for k in range(5)}
+    assert set(out) == set(want)
+    assert all(abs(out[key].body - v) < 1e-15 for key, v in want.items())
+
+
+def test_symbol_exp_inverts_symbol_log():
+    u = {(-1, 0): mono([0, 1], 0.5), (-1, 1): mono([2], 0.3), (-2, 0): mono([1, 3], -0.2)}
+    back = sgr.symbol_exp(sgr.symbol_log_unipotent(u, N), N, 40)
+    want = dict(u)
+    want[(0, 0)] = g(1)
+    zero = g(0)
+    assert max((back.get(key, zero) - want.get(key, zero)).norm_inf()
+               for key in set(back) | set(want)) < 1e-15
+
+
+@pytest.mark.parametrize("key", [(0, 0), (1, 1)])
+def test_symbol_exp_needs_negative_degree(key):
+    # theta alone, (0, 1), lowers the doubled index by one and is allowed
+    with pytest.raises(DomainError):
+        sgr.symbol_exp({key: mono([0, 1] if key[1] == 0 else [0])}, N, 8)
+
+
+def test_symbol_exp_needs_an_even_symbol():
+    with pytest.raises(ParityError):
+        sgr.symbol_exp({(-1, 0): mono([0])}, N, 8)
+
+
+# -- the flow as one product against the band exponential ------------------------------
+
+
+def _flows():
+    return {
+        "acceptance": acceptance._test_flow(N),
+        "odd only": sgr.HeisenbergElement(N, {1: mono([0], 0.3), 3: mono([1], -0.25) + mono([2], 0.1)}),
+        "t2 only": sgr.HeisenbergElement(N, {4: g(0.2 - 0.1j)}),
+    }
+
+
+def _frames(M):
+    rng = np.random.default_rng(M)
+    window = sgr.TruncationWindow(M)
+    return {"acceptance": acceptance._frame_at(M, N),
+            "random": sgr.random_big_cell_frame(rng, window, N),
+            "random, larger souls": sgr.random_big_cell_frame(rng, window, N, scale=0.4)}
+
+
+def _gap(F, G):
+    return max((a - b).norm_inf() for ra, rb in zip(F.entries, G.entries) for a, b in zip(ra, rb))
+
+
+@pytest.mark.parametrize("M", [4, 8, 12])
+def test_flowed_frame_equals_band_exponential(M):
+    flows = _flows()
+    flows["random odd"] = sgr.HeisenbergElement(N, {
+        1: random_element(np.random.default_rng(M), N, parity=1, scale=0.2),
+        2: g(0.1 + 0.05j)})
+    for frame in _frames(M).values():
+        for t in flows.values():
+            band, _ = sgr.flow_band(frame.window, t)
+            assert _gap(sgr.flowed_frame(frame, t), sgr.exp_band_apply(band, frame, -1.0)) < 1e-13
+
+
+@pytest.mark.parametrize("M", [4, 8, 12])
+def test_tau_equals_band_route(M):
+    for frame in _frames(M).values():
+        for t in _flows().values():
+            band, _ = sgr.flow_band(frame.window, t)
+            flowed = sgr.exp_band_apply(band, frame, -1.0)
+            want = berezinian(sgr.minus_block(flowed)) * berezinian(sgr.minus_block(frame)).invert()
+            assert (sgr.tau(frame, t).tau - want).norm_inf() < 1e-13
 
 
 # -- big cell ----------------------------------------------------------------------
