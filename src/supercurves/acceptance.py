@@ -75,9 +75,10 @@ def criterion_2(seed: int = 0) -> dict:
         phi_z = random_element(rng, N_GENS, parity=1)      # d/dz of the rho-transition
         phi_th = random_element(rng, N_GENS, parity=0)     # d/dtheta of it
         zero = GrassmannScalar.zero(N_GENS)
+        (j00, j01), (j10, j11) = J2.entries
         J3 = SuperMatrix((1, 2), (1, 2), [
-            [J2.entries[0][0], J2.entries[0][1], phi_z],
-            [J2.entries[1][0], J2.entries[1][1], phi_th],
+            [j00, j01, phi_z],
+            [j10, j11, phi_th],
             [zero, zero, y],
         ])
         worst_tri = max(worst_tri, (berezinian(J3) - one).norm_inf())
@@ -108,7 +109,7 @@ def criterion_3(seed: int = 0) -> dict:
                 worst = max(worst, (qds * berezinian_star(A.delete(m - 1, m - 1)) - bsA).norm_inf())
             # P1: left-scale row 0 by an even invertible lambda
             lam = random_element(rng, N_GENS, parity=0, body=1.5 + 0.3j)
-            B = A.with_row(0, [lam * e for e in A.entries[0]])
+            B = A.with_row(0, [lam * e for e in A.row(0)])
             worst = max(worst, (quasideterminant(B, 0, 0) - lam * qd).norm_inf())
             if m >= 2:
                 worst = max(worst, (quasideterminant(B, 1, 1 if shape[0] > 1 else m - 1)
@@ -119,7 +120,7 @@ def criterion_3(seed: int = 0) -> dict:
                 target = 1 if m > 2 else 0
                 if target == k_row:
                     target = 0
-                C = A.with_row(target, [a + b for a, b in zip(A.entries[target], A.entries[k_row])])
+                C = A.with_row(target, [a + b for a, b in zip(A.row(target), A.row(k_row))])
                 worst = max(worst, (quasideterminant(C, 0, 0) - qd).norm_inf())
     passed = worst < 1e-9
     return _result("3 quasidet quotients + row ops", passed, f"max residual {worst:.3e}", t0)
@@ -238,17 +239,18 @@ def criterion_6(seed: int = 0) -> dict:
             Q = jac.connecting_map(pd)
             Q2 = jac.connecting_map(pd, via_full_matrix=True)
             ok &= Q.isclose(Q2, 0.0)
+            Qe = Q.entries
             for a in range(g - 1):
                 for b in range(g - 1):
-                    ok &= Q.entries[a][b].is_zero()
+                    ok &= Qe[a][b].is_zero()
             for a in range(g - 1):
                 for j in range(g):
-                    ok &= (Q.entries[a][g - 1 + j] - pd.Z_o[j][a]).is_zero()
-                    ok &= (Q.entries[g - 1 + j][a] + pd.Z_o[j][a]).is_zero()
+                    ok &= (Qe[a][g - 1 + j] - pd.Z_o[j][a]).is_zero()
+                    ok &= (Qe[g - 1 + j][a] + pd.Z_o[j][a]).is_zero()
             for i in range(g):
                 for j in range(g):
                     want = pd.Z_e[j][i] - pd.Z_e[i][j]
-                    ok &= (Q.entries[g - 1 + i][g - 1 + j] - want).is_zero()
+                    ok &= (Qe[g - 1 + i][g - 1 + j] - want).is_zero()
             flags = jac.projectedness_flags(pd)
             ok &= flags["projected"] == (symmetric and zo_zero)
             ok &= flags["Ze_symmetric"] == symmetric and flags["Zo_zero"] == zo_zero

@@ -7,13 +7,15 @@ elements with invertible body, exponentials of nilpotents) are exact in the
 monomial structure; only the complex coefficients are floating point.
 
 Products of two elements stay sparse: ``GrassmannScalar.__mul__`` pairs the
-nonzero terms.  Matrices over Lambda are grids, lists of rows of elements, and
-their products are dense: ``grid_array`` expands a grid over the 2^n
-monomials into a complex array, ``array_mul`` multiplies two such arrays
-through a table of the 3^n disjoint mask pairs, and ``array_grid`` reads an
-array back into elements.  ``grid_mul`` is these three steps; callers that
-chain products, like the block factorization in ``supermatrix``, keep the
-arrays in between.
+nonzero terms.  Matrices over Lambda are held as complex arrays of shape
+(2^n, rows, cols), slot [m, i, j] holding the coefficient of monomial m in
+entry (i, j); ``SuperMatrix`` and the window operators and frames of ``sgr``
+store nothing else.  ``array_mul`` multiplies two such arrays through a table
+of the 3^n disjoint mask pairs, and ``parity_violations`` checks the parity
+rule of a whole array at once.  Grids, lists of rows of elements, are the
+edge: ``grid_array`` expands one into an array and ``array_grid`` reads an
+array back; ``grid_mul`` is these three steps, for the callers (period
+matrices, theta) that keep grids.
 
 The number of generators is configuration (the underlying theory never fixes
 it) and is capped at 12, the largest n at which a grid product was measured:
@@ -39,24 +41,6 @@ Scalar = Union[int, float, complex]
 _SIGN_TABLES: Dict[int, list] = {}
 
 
-def _build_sign_table(n: int) -> list:
-    size = 1 << n
-    table = [0] * (size * size)
-    for a in range(size):
-        base = a << n
-        for b in range(size):
-            if a & b:
-                continue  # annihilates; sign never read
-            inv = 0
-            bb = b
-            while bb:
-                low = bb & -bb
-                inv += (a >> low.bit_length()).bit_count()
-                bb ^= low
-            table[base | b] = -1 if inv & 1 else 1
-    return table
-
-
 def sign_of_merge(mask_a: int, mask_b: int) -> int:
     """(-1)^inversions when interleaving two disjoint ascending monomials."""
     inv = 0
@@ -71,7 +55,9 @@ def sign_of_merge(mask_a: int, mask_b: int) -> int:
 def _sign_table(n: int) -> list:
     table = _SIGN_TABLES.get(n)
     if table is None and n <= 8:
-        table = _SIGN_TABLES[n] = _build_sign_table(n)
+        size = 1 << n  # overlapping masks annihilate; their slot is never read
+        table = _SIGN_TABLES[n] = [0 if a & b else sign_of_merge(a, b)
+                                   for a in range(size) for b in range(size)]
     return table
 
 
@@ -161,6 +147,12 @@ class GrassmannScalar:
 
     def norm_inf(self) -> float:
         return max((abs(c) for c in self.terms.values()), default=0.0)
+
+    def coeffs(self) -> np.ndarray:
+        """The 2^n coefficients as a complex array indexed by monomial mask."""
+        out = np.zeros(1 << self.n, dtype=complex)
+        out[list(self.terms)] = list(self.terms.values())
+        return out
 
     # -- ring operations ----------------------------------------------------
     def _check_same_algebra(self, other: "GrassmannScalar") -> None:
@@ -483,20 +475,45 @@ def grid_array(G: Sequence[Sequence], cols: int, n: int) -> np.ndarray:
     return D
 
 
-def array_grid(C: np.ndarray, n: int) -> Grid:
-    """The grid of a (2^n, rows, cols) array; an entry with no nonzero slot is zero."""
-    rows, cols = C.shape[1:]
+def array_elements(V: np.ndarray, n: int) -> List[GrassmannScalar]:
+    """The elements whose coefficients are the columns of a (2^n, k) array.
+
+    A column with no nonzero slot gives one shared zero.
+    """
     zero = GrassmannScalar.zero(n)
-    out = [[zero] * cols for _ in range(rows)]
-    flat = C.reshape(len(C), rows * cols)
-    live = flat.any(axis=0).nonzero()[0]
+    out = [zero] * V.shape[1]
+    live = V.any(axis=0).nonzero()[0]
     new = GrassmannScalar.__new__
-    for pos, coeffs in zip(live.tolist(), flat[:, live].T.tolist()):
+    for pos, coeffs in zip(live.tolist(), V[:, live].T.tolist()):
         x = new(GrassmannScalar)  # masks in range, values nonzero: nothing to check
         x.n = n
         x.terms = {m: c for m, c in enumerate(coeffs) if c}
-        out[pos // cols][pos % cols] = x
+        out[pos] = x
     return out
+
+
+def array_grid(C: np.ndarray, n: int) -> Grid:
+    """The grid of a (2^n, rows, cols) array; an entry with no nonzero slot is zero."""
+    rows, cols = C.shape[1:]
+    flat = array_elements(C.reshape(len(C), rows * cols), n)
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def parity_violations(D: np.ndarray, row_parity: Sequence[int],
+                      col_parity: Sequence[int]) -> np.ndarray:
+    """The (rows, cols) mask of the entries of D that break the parity rule.
+
+    Entry (i, j) of an even matrix is homogeneous of parity row_parity[i] +
+    col_parity[j] mod 2: it holds nonzero coefficients only at monomials of
+    that parity.  Exact zeros satisfy every parity.
+    """
+    masks = np.arange(len(D))
+    odd = np.zeros(len(D), dtype=int)
+    for j in range(len(D).bit_length() - 1):
+        odd ^= masks >> j
+    want = np.add.outer(np.asarray(row_parity, dtype=int), np.asarray(col_parity, dtype=int))
+    wrong = (odd & 1)[:, None, None] != want & 1
+    return ((D != 0) & wrong).any(axis=0)
 
 
 def array_mul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
@@ -512,6 +529,8 @@ def array_mul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     cols = B.shape[2]
     if B.shape[1] != inner:
         raise DimensionError("inner dimension mismatch")
+    if len(A) != 1 << n or len(B) != 1 << n:
+        raise DimensionError(f"operands do not both live over n={n}")
     table, signs = _pair_table(n)
     keep = A.any(axis=(1, 2))[table[0]] & B.any(axis=(1, 2))[table[1]]
     a, b, k = table.compress(keep, axis=1)

@@ -176,9 +176,11 @@ def _restrict_columns(big: np.ndarray, cols: int, n: int, parity: int) -> np.nda
 
 
 def _rank(M: np.ndarray) -> int:
+    """Singular values above 1e-9 of the largest: a rank blind to the scale of M."""
     if M.size == 0:
         return 0
-    return int(np.linalg.matrix_rank(M, tol=1e-9))
+    s = np.linalg.svd(M, compute_uv=False)
+    return int((s > 1e-9 * s[0]).sum())
 
 
 @dataclass

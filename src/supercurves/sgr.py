@@ -11,6 +11,12 @@ Truncation replaces the trace-class analysis of the infinite theory:
 admissibility is automatic at finite rank, flows are band matrices whose
 exponentials terminate inside the window, and window-edge effects are the sole
 discretization error (monitored, never silently ignored).
+
+Window operators and frames hold one complex array of shape (2^n, rows, cols)
+(the layout of ``grassmann.grid_array``), rows and columns at the positions
+``TruncationWindow.pos``.  Flows, the big-cell test, tau and the cocycle work
+on these arrays through ``array_mul``; the public constructors take grids and
+``entries`` reads one back.
 """
 
 from __future__ import annotations
@@ -18,8 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
+import numpy as np
+
 from .errors import BigCellError, DimensionError, DomainError, NotInvertibleError, ParityError
-from .grassmann import Grid, GrassmannScalar, as_grassmann, grid_mul, grid_zeros
+from .grassmann import (Grid, GrassmannScalar, array_elements, array_grid, array_mul, as_grassmann,
+                        grid_array, parity_violations)
 from .supermatrix import (
     SuperMatrix,
     berezinian,
@@ -60,32 +69,57 @@ class TruncationWindow:
         """Position of the doubled index d in ``indices`` (and in ``neg_indices``)."""
         return d + 2 * self.M - 1
 
-    @staticmethod
-    def parity(d: int) -> int:
-        return d & 1
-
-    def super_order(self, ds: Sequence[int]) -> List[int]:
-        """Even indices first (ascending), then odd indices (ascending)."""
-        evens = [d for d in ds if d % 2 == 0]
-        odds = [d for d in ds if d % 2]
-        return evens + odds
-
 
 # -- operators over the window ------------------------------------------------------
 
 
-@dataclass
-class WindowOperator:
-    """Matrix over Lambda acting on the window basis: a grid indexed by ``window.pos``."""
+class _WindowArray:
+    """A matrix over Lambda on window positions, held as one (2^n, rows, cols) array.
 
-    window: TruncationWindow
-    n: int
-    entries: Grid
+    The constructor takes a grid and converts it once; ``_of`` takes the array.
+    """
+
+    def __init__(self, window: TruncationWindow, n: int, entries: Grid):
+        rows, cols = self._shape(window)
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise DimensionError(f"{self._what} grid must be {rows}x{cols}")
+        self.window, self.n, self.array = window, n, grid_array(entries, cols, n)
+
+    @classmethod
+    def _of(cls, window: TruncationWindow, n: int, array: np.ndarray):
+        obj = cls.__new__(cls)
+        obj.window, obj.n, obj.array = window, n, array
+        return obj
+
+    @property
+    def entries(self) -> Grid:
+        """The coefficients as a grid of elements, built from the array on each read."""
+        return array_grid(self.array, self.n)
+
+
+class WindowOperator(_WindowArray):
+    """Matrix over Lambda acting on the window basis, rows and columns at ``window.pos``."""
+
+    _what = "window operator"
+
+    @staticmethod
+    def _shape(window: TruncationWindow) -> Tuple[int, int]:
+        return len(window.indices), len(window.indices)
 
     @classmethod
     def zero(cls, window: TruncationWindow, n: int) -> "WindowOperator":
-        size = len(window.indices)
-        return cls(window, n, grid_zeros(size, size, n))
+        return cls._of(window, n, np.zeros((1 << n, *cls._shape(window)), dtype=complex))
+
+
+# doubled row shift per column parity: kind -> m -> (even-column shift, odd-column shift)
+_SHIFTS = {
+    "z": lambda m: (2 * m, 2 * m),
+    "ztheta": lambda m: (2 * m - 1, None),
+    "lambda": lambda m: (-2 * m, None),
+    "f": lambda m: (None, -2 * m + 1),
+    "mu": lambda m: (None, -2 * m),
+    "e": lambda m: (-2 * m - 1, None),
+}
 
 
 def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
@@ -103,45 +137,27 @@ def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
     Returns the operator and a truncation-warning flag set when the band is
     too wide for the window (shifts larger than half the window span).
     """
-    # doubled row shift per column parity: kind -> (even-column shift, odd-column shift)
-    def shifts(kind: str, m: int):
-        if kind == "z":
-            return 2 * m, 2 * m
-        if kind == "ztheta":
-            return 2 * m - 1, None
-        if kind == "lambda":
-            return -2 * m, None
-        if kind == "f":
-            return None, -2 * m + 1
-        if kind == "mu":
-            return None, -2 * m
-        if kind == "e":
-            return -2 * m - 1, None
-        raise DomainError(f"unknown symbol kind {kind!r}")
-
     op = WindowOperator.zero(window, n)
-    grid = op.entries
-    pos = window.pos
+    cols = np.arange(len(window.indices))
+    ds = np.array(window.indices)
     warn = False
-    inside = window.contains
     for (kind, m), coeff in symbol.items():
         coeff = as_grassmann(coeff, n)
         if not coeff.terms:
             continue
-        even_shift, odd_shift = shifts(kind, m)
-        if check_even:
-            any_shift = even_shift if even_shift is not None else odd_shift
-            want = any_shift & 1
-            par = coeff.parity()
-            if par is None or par != want:
-                raise ParityError(f"coefficient parity breaks evenness for {kind}({m})")
-        for d in window.indices:
-            shift = even_shift if d % 2 == 0 else odd_shift
+        if kind not in _SHIFTS:
+            raise DomainError(f"unknown symbol kind {kind!r}")
+        even_shift, odd_shift = _SHIFTS[kind](m)
+        want = (even_shift if even_shift is not None else odd_shift) & 1
+        if check_even and coeff.parity() != want:  # None (mixed) never matches
+            raise ParityError(f"coefficient parity breaks evenness for {kind}({m})")
+        vec = coeff.coeffs()[:, None]
+        for parity, shift in enumerate((even_shift, odd_shift)):
             if shift is None:
                 continue
-            r = d + shift
-            if inside(r):
-                grid[pos(r)][pos(d)] = grid[pos(r)][pos(d)] + coeff
+            r = ds + shift
+            c = cols[(ds & 1 == parity) & (-2 * window.M < r) & (r <= 2 * window.M)]
+            op.array[:, c + shift, c] += vec  # pos(d + shift) = pos(d) + shift
         max_shift = max(abs(s) for s in (even_shift, odd_shift) if s is not None)
         if max_shift > 2 * window.M:
             warn = True  # band wider than half the window: edge effects dominate
@@ -242,38 +258,28 @@ def symbol_exp(s: Mapping[SymbolKey, GrassmannScalar], n: int,
 # -- frames ------------------------------------------------------------------------------
 
 
-@dataclass
-class TruncatedFrame:
+class TruncatedFrame(_WindowArray):
     """Admissible-frame window: rows over the full window, columns over i <= 0."""
 
-    window: TruncationWindow
-    n: int
-    entries: Grid
+    _what = "frame"
 
-    def __post_init__(self):
-        rows = len(self.window.indices)
-        cols = len(self.window.neg_indices)
-        if len(self.entries) != rows or any(len(r) != cols for r in self.entries):
-            raise DimensionError(f"frame grid must be {rows}x{cols}")
+    @staticmethod
+    def _shape(window: TruncationWindow) -> Tuple[int, int]:
+        return len(window.indices), len(window.neg_indices)
 
     def require_even(self) -> None:
-        rds = self.window.indices
-        cds = self.window.neg_indices
-        for i, rd in enumerate(rds):
-            for j, cd in enumerate(cds):
-                e = self.entries[i][j]
-                if not e.terms:
-                    continue
-                if e.parity() != ((rd + cd) & 1):
-                    raise ParityError(f"frame entry ({rd/2}, {cd/2}) has wrong parity")
+        rds, cds = self.window.indices, self.window.neg_indices
+        bad = parity_violations(self.array, [d & 1 for d in rds], [d & 1 for d in cds])
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise ParityError(f"frame entry ({rds[i]/2}, {cds[j]/2}) has wrong parity")
 
 
 def standard_frame(window: TruncationWindow, n: int) -> TruncatedFrame:
-    ent = grid_zeros(len(window.indices), len(window.neg_indices), n)
-    one = GrassmannScalar.one(n)
-    for d in window.neg_indices:
-        ent[window.pos(d)][window.pos(d)] = one
-    return TruncatedFrame(window, n, ent)
+    h = 2 * window.M  # pos(d) = d + h - 1 is the same row and column for d <= 0
+    D = np.zeros((1 << n, 2 * h, h), dtype=complex)
+    D[0, :h] = np.eye(h)
+    return TruncatedFrame._of(window, n, D)
 
 
 def exp_band_apply(band: WindowOperator, frame: TruncatedFrame,
@@ -282,28 +288,20 @@ def exp_band_apply(band: WindowOperator, frame: TruncatedFrame,
 
     Exact because the band is strictly triangular: band^k . frame vanishes
     for some k <= 4M, the window size.  Term k is (prefactor/k) band times
-    term k - 1; only the band's nonzero entries are scaled.
+    term k - 1.
     """
-    B = band.entries
-    nonzero = [(i, j, e) for i, row in enumerate(B) for j, e in enumerate(row) if e.terms]
-    if not (all(i < j for i, j, _ in nonzero) or all(i > j for i, j, _ in nonzero)):
+    B = band.array
+    rows, cols = B.any(axis=0).nonzero()
+    if not ((rows < cols).all() or (rows > cols).all()):
         raise DomainError("band must be strictly triangular for an exact exponential")
-    total = [list(row) for row in frame.entries]
-    term = frame.entries
-    for k in range(1, len(B) + 1):
-        step = grid_zeros(len(B), len(B), frame.n)
-        for i, j, e in nonzero:
-            step[i][j] = e * (prefactor / k)
-        term = grid_mul(step, term, frame.n)
-        added = False
-        for trow, row in zip(total, term):
-            for j, e in enumerate(row):
-                if e.terms:
-                    trow[j] = trow[j] + e
-                    added = True
-        if not added:
+    total = frame.array.copy()
+    term = frame.array
+    for k in range(1, B.shape[1] + 1):
+        term = array_mul(B * (prefactor / k), term, frame.n)
+        if not term.any():
             break
-    return TruncatedFrame(frame.window, frame.n, total)
+        total += term
+    return TruncatedFrame._of(frame.window, frame.n, total)
 
 
 # -- minus block and the big cell -----------------------------------------------------
@@ -311,7 +309,7 @@ def exp_band_apply(band: WindowOperator, frame: TruncatedFrame,
 
 def _super_permutation(window: TruncationWindow) -> Tuple[List[int], List[int]]:
     """(super ordered neg indices, positions in window order)."""
-    ordered = window.super_order(window.neg_indices)
+    ordered = sorted(window.neg_indices, key=lambda d: (d & 1, d))  # even lines first
     return ordered, [window.pos(d) for d in ordered]
 
 
@@ -319,15 +317,7 @@ def minus_block(frame: TruncatedFrame) -> SuperMatrix:
     """The square W_- piece as an even supermatrix (even lines first)."""
     _, perm = _super_permutation(frame.window)
     k = frame.window.M  # H_- has M even and M odd lines
-    grid = [[frame.entries[r][c] for c in perm] for r in perm]
-    return SuperMatrix((k, k), (k, k), grid)
-
-
-def reorder_row_to_super(frame: TruncatedFrame, d: int) -> List[GrassmannScalar]:
-    """Row of the frame at window index d, columns in super (even-first) order."""
-    _, perm = _super_permutation(frame.window)
-    row = frame.entries[frame.window.pos(d)]
-    return [row[p] for p in perm]
+    return SuperMatrix._of((k, k), (k, k), frame.n, frame.array[:, perm][:, :, perm])
 
 
 def big_cell_test(frame: TruncatedFrame) -> Tuple[bool, TruncatedFrame | None]:
@@ -342,9 +332,9 @@ def big_cell_test(frame: TruncatedFrame) -> Tuple[bool, TruncatedFrame | None]:
         return False, None
     # back to window column order
     _, perm = _super_permutation(frame.window)
-    inv_perm = sorted(range(len(perm)), key=perm.__getitem__)
-    T = [[Ainv.entries[r][c] for c in inv_perm] for r in inv_perm]
-    return True, TruncatedFrame(frame.window, frame.n, grid_mul(frame.entries, T, frame.n))
+    inv_perm = np.argsort(perm)
+    T = Ainv.array[:, inv_perm][:, :, inv_perm]
+    return True, TruncatedFrame._of(frame.window, frame.n, array_mul(frame.array, T, frame.n))
 
 
 @dataclass
@@ -373,8 +363,8 @@ def _normalized_columns(frame: TruncatedFrame) -> Tuple[Dict[int, GrassmannScala
     if not ok:
         raise BigCellError("frame is not in the big cell")
     window = frame.window
-    return tuple({d: row[c] for d, row in zip(window.indices, normalized.entries)
-                  if row[c].terms} for c in (window.pos(0), window.pos(-1)))
+    columns = (array_elements(normalized.array[:, :, window.pos(d)], frame.n) for d in (0, -1))
+    return tuple({d: e for d, e in zip(window.indices, col) if e.terms} for col in columns)
 
 
 def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
@@ -386,19 +376,17 @@ def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
     w_even, w_odd = _normalized_columns(frame)
     window = frame.window
     A = minus_block(frame)
-    ordered, _ = _super_permutation(window)
-    pos0 = ordered.index(0)
-    posm1 = ordered.index(-1)
+    ordered, perm = _super_permutation(window)
     ber_A_inv = berezinian(A).invert()
     ber_star_A_inv = berezinian_star(A).invert()
-    sub_even = substitution_functional(A, pos0, star=False)
-    sub_odd = substitution_functional(A, posm1, star=True)
+    plus_rows = frame.array[:, 2 * window.M:][:, :, perm]  # rows i > 0, columns in super order
+    evens = substitution_functional(A, ordered.index(0), star=False)(plus_rows)
+    odds = substitution_functional(A, ordered.index(-1), star=True)(plus_rows)
     w_even_c: Dict[int, GrassmannScalar] = {}
     w_odd_c: Dict[int, GrassmannScalar] = {}
-    for d in window.pos_indices:
-        r = reorder_row_to_super(frame, d)
-        ce = sub_even(r) * ber_A_inv
-        co = sub_odd(r) * ber_star_A_inv
+    for d, e, o in zip(window.pos_indices, evens, odds):
+        ce = e * ber_A_inv
+        co = o * ber_star_A_inv
         if ce.terms:
             w_even_c[d] = ce
         if co.terms:
@@ -409,18 +397,9 @@ def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
 def baker_functions(frame: TruncatedFrame) -> Tuple[Dict[SymbolKey, GrassmannScalar],
                                                     Dict[SymbolKey, GrassmannScalar]]:
     """Baker vectors written as Laurent symbols via e_i = z^i, e_{i-1/2} = z^i theta."""
-    w_even, w_odd = _normalized_columns(frame)
-
-    def to_symbol(col: Dict[int, GrassmannScalar]) -> Dict[SymbolKey, GrassmannScalar]:
-        out: Dict[SymbolKey, GrassmannScalar] = {}
-        for d, v in col.items():
-            if d % 2 == 0:
-                out[(d // 2, 0)] = v
-            else:
-                out[((d + 1) // 2, 1)] = v
-        return out
-
-    return to_symbol(w_even), to_symbol(w_odd)
+    # e_i has d = 2i and e_{i-1/2} has d = 2i - 1: both give the key ((d + 1) // 2, d & 1)
+    return tuple({((d + 1) // 2, d & 1): v for d, v in col.items()}
+                 for col in _normalized_columns(frame))
 
 
 # -- Heisenberg flows and tau functions --------------------------------------------------
@@ -453,13 +432,8 @@ class HeisenbergElement:
         self.coeffs = clean
 
     def symbol(self) -> Dict[SymbolKey, GrassmannScalar]:
-        out: Dict[SymbolKey, GrassmannScalar] = {}
-        for s2, c in self.coeffs.items():
-            if s2 % 2 == 0:
-                out[(-s2 // 2, 0)] = c
-            else:
-                out[(-(s2 + 1) // 2, 1)] = c
-        return out
+        """t_i z^-i for s2 = 2i and t_{i-1/2} z^-i theta for s2 = 2i - 1."""
+        return {(-((s2 + 1) // 2), s2 & 1): c for s2, c in self.coeffs.items()}
 
     def max_shift(self) -> int:
         """Largest doubled band shift of the flow generator."""
@@ -481,7 +455,7 @@ class HeisenbergElement:
         for (m, t), c in sym.items():
             if m >= 0:
                 raise DimensionError("flow symbols live in z^-1 Lambda[z^-1, theta]")
-            coeffs[-2 * m if t == 0 else -2 * m - 1] = c
+            coeffs[-2 * m - t] = c
         return cls(n, coeffs)
 
 
@@ -536,7 +510,7 @@ def flowed_frame(frame: TruncatedFrame, t: HeisenbergElement) -> TruncatedFrame:
     window, n = frame.window, t.n
     gamma_inv = symbol_exp({key: -c for key, c in t.symbol().items()}, n, len(window.indices))
     op, _ = multiplication_matrix(window, symbol_of_jheis(gamma_inv), n)
-    return TruncatedFrame(window, frame.n, grid_mul(op.entries, frame.entries, frame.n))
+    return TruncatedFrame._of(window, frame.n, array_mul(op.array, frame.array, frame.n))
 
 
 # -- Baker-tau quotient ---------------------------------------------------------------
@@ -562,9 +536,7 @@ def _apply_q0(window: TruncationWindow, u: complex, phi: GrassmannScalar,
         if phi.terms:
             sym[("f", nn)] = phi * (-c)
     op, _ = multiplication_matrix(window, sym, n)
-    shifted = grid_mul(op.entries, frame.entries, n)
-    return TruncatedFrame(window, n, [[a + b if b.terms else a for a, b in zip(ra, rb)]
-                                      for ra, rb in zip(frame.entries, shifted)])
+    return TruncatedFrame._of(window, n, frame.array + array_mul(op.array, frame.array, n))
 
 
 def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
@@ -611,13 +583,12 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
         res_e = (lhs_even - rhs_even).norm_inf()
         # odd: substituted-row route for ber*([Q_1 W]_-) phi; the substituted
         # rows are r_-1/2 + sum_k u^k r_(k-1/2) and sum_k u^k r_k
-        coeffs = [[0j] * size for _ in range(2)]
-        coeffs[0][window.pos(-1)] = 1.0
+        coeffs = np.zeros((1 << n, 2, size), dtype=complex)
+        coeffs[0, 0, window.pos(-1)] = 1.0
         for k in range(1, window.M + 1):
-            coeffs[0][window.pos(2 * k - 1)] = coeffs[1][window.pos(2 * k)] = u ** k
-        r_lambda, r_deriv = ([row[p] for p in perm]
-                             for row in grid_mul(coeffs, wt.entries, n))
-        lhs_odd = (sub_odd(r_lambda) * phi + sub_odd(r_deriv)) * ber_star_At.invert()
+            coeffs[0, 0, window.pos(2 * k - 1)] = coeffs[0, 1, window.pos(2 * k)] = u ** k
+        ber_lambda, ber_deriv = sub_odd(array_mul(coeffs, wt.array, n)[:, :, perm])
+        lhs_odd = (ber_lambda * phi + ber_deriv) * ber_star_At.invert()
         rhs_odd = eval_symbol(w_odd_sym, u)
         res_o = (lhs_odd - rhs_odd).norm_inf()
         report["even"][u] = res_e
@@ -629,21 +600,20 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
 # -- the gl(infinity|infinity) cocycle -----------------------------------------------
 
 
-def _supertrace(G: Grid, n: int) -> GrassmannScalar:
+def _supertrace(D: np.ndarray, n: int) -> GrassmannScalar:
     """Sum of the diagonal over even lines minus the sum over odd lines.
 
-    G is the whole window, its H_- block or its H_+ block; each starts at an
-    odd index (-2M + 1 or 1), so line i is even exactly when i is odd.
+    D is the whole window, its H_- block or its H_+ block; each starts at an
+    odd index (-2M + 1 or 1), so line i is even exactly when i is odd.  The
+    terms are added in line order (``cumsum`` adds sequentially).
     """
-    acc = GrassmannScalar.zero(n)
-    for i, row in enumerate(G):
-        acc = acc + row[i] if i & 1 else acc - row[i]
-    return acc
+    diag = np.diagonal(D, axis1=1, axis2=2)
+    signed = np.where(np.arange(diag.shape[1]) & 1, diag, -diag)
+    return array_elements(np.cumsum(signed, axis=1)[:, -1:], n)[0]
 
 
-def _commutator(A: Grid, B: Grid, n: int) -> Grid:
-    return [[p - q for p, q in zip(rp, rq)]
-            for rp, rq in zip(grid_mul(A, B, n), grid_mul(B, A, n))]
+def _commutator(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
+    return array_mul(A, B, n) - array_mul(B, A, n)
 
 
 def cocycle(X: WindowOperator, Y: WindowOperator) -> GrassmannScalar:
@@ -652,10 +622,10 @@ def cocycle(X: WindowOperator, Y: WindowOperator) -> GrassmannScalar:
     Rows and columns [:h] are H_- (indices <= 0), [h:] are H_+, with h = 2M.
     """
     h, n = 2 * X.window.M, X.n
-    b = lambda op: [row[h:] for row in op.entries[:h]]
-    c = lambda op: [row[:h] for row in op.entries[h:]]
-    plus = _supertrace(grid_mul(c(X), b(Y), n), n)
-    minus = _supertrace(grid_mul(b(X), c(Y), n), n)
+    b = lambda op: op.array[:, :h, h:]
+    c = lambda op: op.array[:, h:, :h]
+    plus = _supertrace(array_mul(c(X), b(Y), n), n)
+    minus = _supertrace(array_mul(b(X), c(Y), n), n)
     return plus - minus
 
 
@@ -663,19 +633,19 @@ def cocycle_quarter_form(X: WindowOperator, Y: WindowOperator) -> GrassmannScala
     """(1/4) Str(J [J,X] [J,Y]), the equivalent supertrace form; J = +1 on H_-, -1 on H_+."""
     window, n = X.window, X.n
     h, size = 2 * window.M, len(window.indices)
-    J = [[(1.0 if i < h else -1.0) if i == j else 0.0 for j in range(size)]
-         for i in range(size)]
-    JX = _commutator(J, X.entries, n)
-    JY = _commutator(J, Y.entries, n)
-    return _supertrace(grid_mul(grid_mul(J, JX, n), JY, n), n) * 0.25
+    J = np.zeros((1 << n, size, size), dtype=complex)
+    J[0] = np.diag([1.0] * h + [-1.0] * (size - h))
+    JX = _commutator(J, X.array, n)
+    JY = _commutator(J, Y.array, n)
+    return _supertrace(array_mul(array_mul(J, JX, n), JY, n), n) * 0.25
 
 
 def jheis_projected_action(window: TruncationWindow, sym: Mapping[SymbolKey, GrassmannScalar],
-                           n: int) -> Grid:
-    """pi_- of multiplication by a symbol, restricted to H_- (the a-block, indices <= 0)."""
+                           n: int) -> np.ndarray:
+    """pi_- of multiplication by a symbol on H_- (the a-block, indices <= 0), as an array."""
     op, _ = multiplication_matrix(window, symbol_of_jheis(dict(sym)), n, check_even=False)
     h = 2 * window.M
-    return [row[:h] for row in op.entries[:h]]
+    return op.array[:, :h, :h]
 
 
 def jheis_commutator_supertrace(window: TruncationWindow,
@@ -708,5 +678,5 @@ def random_big_cell_frame(rng, window: TruncationWindow, n: int, scale: float = 
             e = random_element(rng, n, parity=parity, scale=scale)
             if parity == 0:
                 e = e - e.body  # keep the body on the diagonal only
-            frame.entries[i][j] = e * scale
+            frame.array[:, i, j] = (e * scale).coeffs()
     return frame

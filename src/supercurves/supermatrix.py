@@ -8,6 +8,13 @@ quasideterminants, exact inversion, and the generalized Cramer's rule solving
 x A = y with Berezinian ratios (ber for even slots, ber* for odd slots),
 together with a brute-force oracle that expands everything over the 2^n
 monomial basis of the coefficient algebra.
+
+A ``SuperMatrix`` holds one complex array of shape (2^n, rows, cols), the
+layout of ``grassmann.grid_array``; products, sums, blocks, inverses and
+Berezinians work on that array.  Grids of elements appear only at the edge:
+the constructor, the ``entries``/``row``/``col`` views, JSON, and the public
+functions that take raw grids or rows (``det_even`` and ``invert_even`` on a
+grid, ``det_even_laplace``, the substituted rows, the oracle).
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, ParityError
-from .grassmann import (GrassmannScalar, array_grid, array_mul, grid_array, grid_body, grid_mul,
-                        grid_zeros, sign_of_merge)
+from .grassmann import (Grid, GrassmannScalar, array_elements, array_grid, array_mul, grid_array,
+                        parity_violations, sign_of_merge)
 
 Shape = Tuple[int, int]
 
@@ -28,9 +35,13 @@ _BODY_TOL = 1e-10
 
 
 class SuperMatrix:
-    """Rectangular matrix over Lambda with block parity bookkeeping."""
+    """Rectangular matrix over Lambda with block parity bookkeeping.
 
-    __slots__ = ("row_shape", "col_shape", "n", "entries")
+    The coefficients live in ``array`` alone; ``entries`` is a grid built
+    from it on each read.
+    """
+
+    __slots__ = ("row_shape", "col_shape", "n", "array")
 
     def __init__(self, row_shape: Shape, col_shape: Shape, entries: Sequence[Sequence[GrassmannScalar]]):
         k, l = row_shape
@@ -44,22 +55,29 @@ class SuperMatrix:
         ns = {e.n for row in entries for e in row}
         if len(ns) > 1:
             raise DimensionError("entries live over different Grassmann algebras")
-        self.row_shape = (k, l)
-        self.col_shape = (p, q)
-        self.n = ns.pop() if ns else 0
-        self.entries = [list(row) for row in entries]
+        n = ns.pop() if ns else 0
+        self.row_shape, self.col_shape, self.n = (k, l), (p, q), n
+        self.array = grid_array(entries, cols, n)
+
+    @classmethod
+    def _of(cls, row_shape: Shape, col_shape: Shape, n: int, array: np.ndarray) -> "SuperMatrix":
+        """The matrix holding ``array``, which the caller no longer writes to."""
+        A = cls.__new__(cls)
+        A.row_shape, A.col_shape, A.n, A.array = tuple(row_shape), tuple(col_shape), n, array
+        return A
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def identity(cls, shape: Shape, n: int) -> "SuperMatrix":
         m = shape[0] + shape[1]
-        ent = [[GrassmannScalar.one(n) if i == j else GrassmannScalar.zero(n) for j in range(m)]
-               for i in range(m)]
-        return cls(shape, shape, ent)
+        D = np.zeros((1 << n, m, m), dtype=complex)
+        D[0] = np.eye(m)
+        return cls._of(shape, shape, n, D)
 
     @classmethod
     def zero(cls, row_shape: Shape, col_shape: Shape, n: int) -> "SuperMatrix":
-        return cls(row_shape, col_shape, grid_zeros(sum(row_shape), sum(col_shape), n))
+        return cls._of(row_shape, col_shape, n,
+                       np.zeros((1 << n, sum(row_shape), sum(col_shape)), dtype=complex))
 
     # -- shape helpers -------------------------------------------------------
     @property
@@ -73,59 +91,56 @@ class SuperMatrix:
     def is_square(self) -> bool:
         return self.row_shape == self.col_shape
 
-    def row_parity(self, i: int) -> int:
-        return 0 if i < self.row_shape[0] else 1
-
-    def col_parity(self, j: int) -> int:
-        return 0 if j < self.col_shape[0] else 1
-
     def is_even(self) -> bool:
         """True when every entry is homogeneous of the parity its slot demands."""
-        for i, row in enumerate(self.entries):
-            rp = self.row_parity(i)
-            for j, e in enumerate(row):
-                want = (rp + self.col_parity(j)) & 1
-                par = e.parity()
-                if par is not None and par != want and e.terms:
-                    return False
-                if par is None:
-                    return False
-        return True
+        (k, l), (p, q) = self.row_shape, self.col_shape
+        return not parity_violations(self.array, [0] * k + [1] * l, [0] * p + [1] * q).any()
 
     def require_even(self) -> None:
         if not self.is_even():
             raise ParityError("matrix is not even for its block structure")
 
+    # -- views -----------------------------------------------------------------
+    @property
+    def entries(self) -> Grid:
+        """The entries as a grid of elements, built from the array on each read."""
+        return array_grid(self.array, self.n)
+
+    def row(self, i: int) -> List[GrassmannScalar]:
+        return array_elements(self.array[:, i, :], self.n)
+
+    def col(self, j: int) -> List[GrassmannScalar]:
+        return array_elements(self.array[:, :, j], self.n)
+
     # -- arithmetic -----------------------------------------------------------
+    def _require_same_algebra(self, other: "SuperMatrix") -> None:
+        if self.n != other.n:
+            raise DimensionError(f"mixed generator counts {self.n} and {other.n}")
+
     def __add__(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.row_shape != other.row_shape or self.col_shape != other.col_shape:
             raise DimensionError("shape mismatch in addition")
-        ent = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.entries, other.entries)]
-        return SuperMatrix(self.row_shape, self.col_shape, ent)
+        self._require_same_algebra(other)
+        return SuperMatrix._of(self.row_shape, self.col_shape, self.n, self.array + other.array)
 
     def __sub__(self, other: "SuperMatrix") -> "SuperMatrix":
         return self + other.scale(-1.0)
 
-    def scale(self, c) -> "SuperMatrix":
-        ent = [[e * c for e in row] for row in self.entries]
-        return SuperMatrix(self.row_shape, self.col_shape, ent)
+    def scale(self, c: complex) -> "SuperMatrix":
+        """Every entry times the complex number c."""
+        return SuperMatrix._of(self.row_shape, self.col_shape, self.n, self.array * complex(c))
 
     def __matmul__(self, other: "SuperMatrix") -> "SuperMatrix":
         if self.col_shape != other.row_shape:
             raise DimensionError("inner shapes differ in product")
-        return SuperMatrix(self.row_shape, other.col_shape,
-                           grid_mul(self.entries, other.entries, self.n))
-
-    def row(self, i: int) -> List[GrassmannScalar]:
-        return list(self.entries[i])
-
-    def col(self, j: int) -> List[GrassmannScalar]:
-        return [row[j] for row in self.entries]
+        self._require_same_algebra(other)
+        return SuperMatrix._of(self.row_shape, other.col_shape, self.n,
+                               array_mul(self.array, other.array, self.n))
 
     def with_row(self, i: int, new_row: Sequence[GrassmannScalar]) -> "SuperMatrix":
-        ent = [list(r) for r in self.entries]
-        ent[i] = list(new_row)
-        return SuperMatrix(self.row_shape, self.col_shape, ent)
+        D = self.array.copy()
+        D[:, i] = _row_array(new_row, self.ncols, self.n)[:, 0]
+        return SuperMatrix._of(self.row_shape, self.col_shape, self.n, D)
 
     def delete(self, i: int, j: int) -> "SuperMatrix":
         """Submatrix A^{ij} with the parity shapes adjusted for the dropped slots."""
@@ -133,25 +148,23 @@ class SuperMatrix:
         p, q = self.col_shape
         rshape = (k - 1, l) if i < k else (k, l - 1)
         cshape = (p - 1, q) if j < p else (p, q - 1)
-        ent = [[e for jj, e in enumerate(row) if jj != j]
-               for ii, row in enumerate(self.entries) if ii != i]
-        return SuperMatrix(rshape, cshape, ent)
+        return SuperMatrix._of(rshape, cshape, self.n,
+                               np.delete(np.delete(self.array, i, axis=1), j, axis=2))
 
     def blocks(self):
-        """(X, alpha, beta, Y) as plain entry grids."""
-        k = self.row_shape[0]
-        p = self.col_shape[0]
-        X = [row[:p] for row in self.entries[:k]]
-        alpha = [row[p:] for row in self.entries[:k]]
-        beta = [row[:p] for row in self.entries[k:]]
-        Y = [row[p:] for row in self.entries[k:]]
-        return X, alpha, beta, Y
+        """(X, alpha, beta, Y) as matrices: X is (k|0)x(p|0), alpha (k|0)x(0|q) and so on."""
+        (k, l), (p, q) = self.row_shape, self.col_shape
+        D = self.array
+        return (SuperMatrix._of((k, 0), (p, 0), self.n, D[:, :k, :p]),
+                SuperMatrix._of((k, 0), (0, q), self.n, D[:, :k, p:]),
+                SuperMatrix._of((0, l), (p, 0), self.n, D[:, k:, :p]),
+                SuperMatrix._of((0, l), (0, q), self.n, D[:, k:, p:]))
 
     def body(self) -> np.ndarray:
-        return grid_body(self.entries, self.ncols)
+        return self.array[0].copy()
 
     def max_coeff(self) -> float:
-        return max((e.norm_inf() for row in self.entries for e in row), default=0.0)
+        return float(np.abs(self.array).max(initial=0.0))
 
     def isclose(self, other: "SuperMatrix", tol: float = 1e-9) -> bool:
         return (self - other).max_coeff() <= tol
@@ -191,11 +204,16 @@ def _require_invertible_body(body: np.ndarray, what: str) -> None:
         raise NotInvertibleError(f"{what} is singular (condition number {cond:.3g})")
 
 
-def _require_even_entries(M) -> None:
-    for row in M:
-        for e in row:
-            if e.terms and e.parity() != 0:
-                raise ParityError("entry of a commutative determinant is not even")
+def _require_even_entries(D: np.ndarray) -> None:
+    if parity_violations(D, [0] * D.shape[1], [0] * D.shape[2]).any():
+        raise ParityError("entry of a commutative determinant is not even")
+
+
+def _row_array(y: Sequence[GrassmannScalar], m: int, n: int) -> np.ndarray:
+    """A row of m elements as a (2^n, 1, m) array."""
+    if len(y) != m:
+        raise DimensionError(f"row has {len(y)} entries, expected {m}")
+    return grid_array([y], m, n)
 
 
 # -- determinants over the even (commutative) subring ---------------------------
@@ -204,12 +222,15 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
     """Leibniz/Laplace expansion, memoized over column subsets.
 
     Valid because even elements commute; used as the fallback and as the
-    independent check for the exp-tr-log fast path.
+    independent check for the exp-tr-log fast path.  M is a square grid or
+    a ``SuperMatrix``.
     """
+    if isinstance(M, SuperMatrix):
+        M = M.entries
     m = len(M)
     if m == 0:
         return GrassmannScalar.one(n)
-    _require_even_entries(M)
+    _require_even_entries(grid_array(M, m, n))
     full = (1 << m) - 1
     memo = {0: GrassmannScalar.one(n)}
 
@@ -236,7 +257,7 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
 
 
 def _factor(D: np.ndarray, n: int, what: str):
-    """Factor a square grid held as an array (``grid_array``) once.
+    """Factor a square matrix held as an array once.
 
     Runs the body test and returns (body, body^-1, [N, N^2, ...]) with
     N = body^-1 soul, the powers as arrays; see ``_series``.
@@ -247,7 +268,7 @@ def _factor(D: np.ndarray, n: int, what: str):
 
 
 def _series(D: np.ndarray, body: np.ndarray, n: int):
-    """(body^-1, [N, N^2, ...]) for a grid array whose body has passed the body test.
+    """(body^-1, [N, N^2, ...]) for a square array whose body has passed the body test.
 
     body^-1 is central, so N is one matrix product per monomial.  The powers
     stay arrays and stop at the first zero one, which nilpotency of N
@@ -274,18 +295,12 @@ def _inverse(binv: np.ndarray, powers, n: int) -> np.ndarray:
 
 
 def _det(body: np.ndarray, powers, n: int) -> GrassmannScalar:
-    """det(body) exp(sum_r (-1)^(r+1) tr(N^r)/r) for a grid of even entries."""
+    """det(body) exp(sum_r (-1)^(r+1) tr(N^r)/r) for a matrix of even entries."""
     logdet = np.zeros(1 << n, dtype=complex)
     for r, power in enumerate(powers, 1):
         logdet += np.trace(power, axis1=1, axis2=2) * ((-1.0) ** (r + 1) / r)
     logdet = GrassmannScalar(n, {m: c for m, c in enumerate(logdet.tolist()) if c})
     return logdet.exp() * complex(np.linalg.det(body))
-
-
-def _inverse_grid(M, n: int):
-    """The inverse of a square grid with invertible body."""
-    _, binv, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
-    return array_grid(_inverse(binv, powers, n), n)
 
 
 def det_even(M, n: int | None = None) -> GrassmannScalar:
@@ -296,23 +311,27 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
     otherwise.  The two routes agree identically.
     """
     if isinstance(M, SuperMatrix):
-        n = M.n
-        M = M.entries
-    if n is None:
-        raise DimensionError("generator count required for raw grids")
-    if any(len(r) != len(M) for r in M):
+        n, D = M.n, M.array
+    else:
+        if n is None:
+            raise DimensionError("generator count required for raw grids")
+        if any(len(r) != len(M) for r in M):
+            raise DimensionError("determinant of a non-square matrix")
+        D = grid_array(M, len(M), n)
+    if D.shape[1] != D.shape[2]:
         raise DimensionError("determinant of a non-square matrix")
-    _require_even_entries(M)
+    _require_even_entries(D)
     try:
-        body, _, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
+        body, _, powers = _factor(D, n, "matrix body")
     except NotInvertibleError:
         return det_even_laplace(M, n)
     return _det(body, powers, n)
 
 
-def invert_even(M, n: int):
-    """Inverse of a square matrix of even elements with invertible body."""
-    return _inverse_grid(M, n)
+def invert_even(M: Grid, n: int) -> Grid:
+    """Inverse of a square grid of even elements with invertible body."""
+    _, binv, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
+    return array_grid(_inverse(binv, powers, n), n)
 
 
 # -- Berezinians ----------------------------------------------------------------
@@ -328,8 +347,7 @@ def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
     if not A.is_square():
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
-    n = A.n
-    D = grid_array(A.entries, A.ncols, n)
+    n, D = A.n, A.array
     body = D[0]
     _require_invertible_body(body, "matrix body")
     k = A.row_shape[0]
@@ -358,7 +376,8 @@ def invert_matrix(A: SuperMatrix) -> SuperMatrix:
     """Exact inverse of a square matrix with invertible body (Neumann series)."""
     if not A.is_square():
         raise DimensionError("inverse of a non-square supermatrix")
-    return SuperMatrix(A.row_shape, A.col_shape, _inverse_grid(A.entries, A.n))
+    _, binv, powers = _factor(A.array, A.n, "matrix body")
+    return SuperMatrix._of(A.row_shape, A.col_shape, A.n, _inverse(binv, powers, A.n))
 
 
 # -- quasideterminants -----------------------------------------------------------
@@ -368,21 +387,20 @@ def _same_class(A: SuperMatrix, i: int, j: int) -> bool:
 
 
 def _quasidet_functional(A: SuperMatrix, i: int, j: int):
-    """y -> |A_i(y)|_{ij} = y_j - sum_{p!=j, q!=i} y_p c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
+    """Y -> |A_i(y)|_{ij} = y_j - sum_{p!=j, q!=i} y_p c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
 
-    The column contraction sum_q c_pq a_qj is precomputed once, so each row y
-    costs one product per nonzero slot.
+    Y holds rows y as a (2^n, rows, m) array; the result is (2^n, rows), one
+    quasideterminant per row.  The column contraction sum_q c_pq a_qj is
+    formed once, so all the rows cost one product.
     """
-    m = A.nrows
-    C = invert_matrix(A.delete(i, j))
-    column = [[row[j]] for q, row in enumerate(A.entries) if q != i]
-    corr = grid_mul(C.entries, column, A.n)
-    slots = [(p, c) for p, (c,) in zip((p for p in range(m) if p != j), corr) if c.terms]
+    n = A.n
+    corr = array_mul(invert_matrix(A.delete(i, j)).array,
+                     np.delete(A.array[:, :, j:j + 1], i, axis=1), n)
 
-    def evaluate(y):
-        if len(y) != m:
+    def evaluate(Y: np.ndarray) -> np.ndarray:
+        if Y.shape[2] != A.nrows:
             raise DimensionError("substituted row has wrong length")
-        return y[j] - sum((y[p] * c for p, c in slots if y[p].terms), GrassmannScalar.zero(A.n))
+        return Y[:, :, j] - array_mul(np.delete(Y, j, axis=2), corr, n)[:, :, 0]
 
     return evaluate
 
@@ -398,16 +416,8 @@ def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
     if not _same_class(A, i, j):
         raise ParityError("row and column index lie in different parity classes")
     if A.nrows == 1:
-        return A.entries[0][0]
-    return _quasidet_functional(A, i, j)(A.entries[i])
-
-
-def _candidate_columns(A: SuperMatrix, i: int):
-    k = A.row_shape[0]
-    p = A.col_shape[0]
-    if i < k:
-        return range(p)
-    return range(p, A.ncols)
+        return A.row(0)[0]
+    return array_elements(_quasidet_functional(A, i, j)(A.array[:, i:i + 1]), A.n)[0]
 
 
 def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
@@ -421,7 +431,7 @@ def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
     """
     if i >= A.row_shape[0]:
         raise ParityError("ber substitution requires an even-class row")
-    return substitution_functional(A, i, j=j, star=False)(y)
+    return substitution_functional(A, i, j=j, star=False)(_row_array(y, A.nrows, A.n))[0]
 
 
 def ber_star_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
@@ -429,18 +439,20 @@ def ber_star_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
     """ber*(A_i(y)) for i in the odd class (the odd-slot analog)."""
     if i < A.row_shape[0]:
         raise ParityError("ber* substitution requires an odd-class row")
-    return substitution_functional(A, i, j=j, star=True)(y)
+    return substitution_functional(A, i, j=j, star=True)(_row_array(y, A.nrows, A.n))[0]
 
 
 def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: bool = False):
     """Closure computing ber(A_i(y)) (or ber*) for arbitrary rows y.
 
-    The inverse of A^{ij} and the minor Berezinian are cached, so sweeping many
-    substituted rows (as the Baker-vector formulas do) costs one inversion.
+    The closure takes the rows as a (2^n, rows, m) array and returns one
+    element per row.  The inverse of A^{ij} and the minor Berezinian are
+    cached, so sweeping many substituted rows (as the Baker-vector formulas
+    do) costs one inversion and one product.
     """
     fn = berezinian_star if star else berezinian
     last_error: Exception | None = None
-    columns = [j] if j is not None else list(_candidate_columns(A, i))
+    columns = [j] if j is not None else [c for c in range(A.ncols) if _same_class(A, i, c)]
     for col in columns:
         if not _same_class(A, i, col):
             raise ParityError("substitution column in the wrong parity class")
@@ -451,7 +463,7 @@ def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: 
             last_error = exc
             continue
         signed_minor = minor * (-1.0 if (i + col) & 1 else 1.0)
-        return lambda y: qdet(y) * signed_minor
+        return lambda Y: [q * signed_minor for q in array_elements(qdet(Y), A.n)]
     raise NotInvertibleError("no admissible column for the substituted Berezinian") \
         from last_error
 
@@ -476,17 +488,15 @@ def solve_cramer(system: SuperLinearSystem) -> List[GrassmannScalar]:
     """Solve x A = y via x_i = ber(A_i(y))/ber(A) (ber* in the odd slots)."""
     A = system.matrix
     A.require_even()
-    y = system.rhs
-    k = A.row_shape[0]
+    Y = _row_array(system.rhs, A.nrows, A.n)
     ber_A = berezinian(A)
     ber_A_inv = ber_A.invert()
     ber_star_A_inv = ber_A  # ber* = 1/ber
     out = []
     for i in range(A.nrows):
-        if i < k:
-            out.append(ber_substituted(A, i, y) * ber_A_inv)
-        else:
-            out.append(ber_star_substituted(A, i, y) * ber_star_A_inv)
+        star = i >= A.row_shape[0]
+        value = substitution_functional(A, i, star=star)(Y)[0]
+        out.append(value * (ber_star_A_inv if star else ber_A_inv))
     return out
 
 
@@ -532,13 +542,15 @@ def expand_vector(vs: Sequence[GrassmannScalar], n: int) -> np.ndarray:
 
 
 def assemble_vector(flat: np.ndarray, count: int, n: int) -> List[GrassmannScalar]:
+    """Read count elements off a flat solution, dropping what is below 1e-12 of its largest entry."""
     dim = 1 << n
+    cutoff = 1e-12 * float(np.abs(flat).max(initial=0.0))
     out = []
     for i in range(count):
         terms = {}
         for m in range(dim):
             c = flat[i * dim + m]
-            if abs(c) > 1e-12:
+            if abs(c) > cutoff:
                 terms[m] = complex(c)
         out.append(GrassmannScalar(n, terms))
     return out
@@ -555,10 +567,11 @@ def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
     m = A.nrows
     n = A.n
     dim = 1 << n
+    entries = A.entries
     big = np.zeros((m * dim, m * dim), dtype=complex)
     for i in range(m):
         for j in range(m):
-            a = A.entries[i][j]
+            a = entries[i][j]
             if a.terms:
                 big[j * dim:(j + 1) * dim, i * dim:(i + 1) * dim] = right_mult_operator(a)
     rhs = expand_vector(system.rhs, n)
@@ -574,7 +587,7 @@ def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
 
 def apply_row_vector(x: Sequence[GrassmannScalar], A: SuperMatrix) -> List[GrassmannScalar]:
     """(x A)_j = sum_i x_i a_ij, keeping the left/right order."""
-    return grid_mul([x], A.entries, A.n)[0]
+    return array_elements(array_mul(_row_array(x, A.nrows, A.n), A.array, A.n)[:, 0], A.n)
 
 
 # -- random generation (tests and the acceptance sweep) ------------------------------
@@ -593,23 +606,14 @@ def random_even_matrix(rng, shape: Shape, n: int, soul_scale: float = 0.6,
             if size == 0 or np.linalg.svd(B, compute_uv=False).min() > min_sv:
                 return B
 
-    Xb = block_body(k)
-    Yb = block_body(l)
-    ent = []
+    D = np.zeros((1 << n, m, m), dtype=complex)
+    D[0, :k, :k] = block_body(k)
+    D[0, k:, k:] = block_body(l)
     for i in range(m):
-        row = []
         for j in range(m):
             want = (int(i >= k) + int(j >= k)) & 1
-            e = random_element(rng, n, parity=want, scale=soul_scale)
-            e = GrassmannScalar(n, {mask: c for mask, c in e.terms.items() if mask})
-            if want == 0:
-                if i < k and j < k:
-                    e = e + GrassmannScalar.scalar(n, complex(Xb[i, j]))
-                elif i >= k and j >= k:
-                    e = e + GrassmannScalar.scalar(n, complex(Yb[i - k, j - k]))
-            row.append(e)
-        ent.append(row)
-    return SuperMatrix(shape, shape, ent)
+            D[1:, i, j] = random_element(rng, n, parity=want, scale=soul_scale).coeffs()[1:]
+    return SuperMatrix._of(shape, shape, n, D)
 
 
 def random_vector(rng, m: int, n: int, scale: float = 1.0) -> List[GrassmannScalar]:

@@ -42,3 +42,26 @@ def lattice_reads(monkeypatch):
 
     monkeypatch.setattr(ThetaContext, "lattice", counted)
     return reads
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """A list that gains one entry per grid_array or array_grid call, through any module binding."""
+    import sys
+
+    from supercurves import grassmann
+
+    calls = []
+    modules = [m for name, m in sys.modules.items()
+               if name == "supercurves" or name.startswith("supercurves.")]
+    for name in ("grid_array", "array_grid"):
+        original = getattr(grassmann, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls

@@ -23,21 +23,22 @@ def data(a=0.31 + 0.17j, zeta=0.12 - 0.05j, tau=2j, alpha=ALPHA, delta=DELTA):
 
 def test_baker_matrix_parity_pattern():
     B = ell.baker_matrix(data())
-    assert B.entries[0][0].is_even() and B.entries[1][1].is_even()
-    assert B.entries[0][1].parity() == 1 and B.entries[1][0].parity() == 1
+    (b00, b01), (b10, b11) = B.entries
+    assert b00.is_even() and b11.is_even()
+    assert b01.parity() == 1 and b10.parity() == 1
     assert B.is_even()
 
 
 def test_baker_matrix_nilpotent_degenerations():
     # either odd modulus zero: diagonal collapses to 1
     for d in (data(alpha=g(0)), data(delta=g(0))):
-        B = ell.baker_matrix(d)
-        assert B.entries[0][0] == g(1)
-        assert B.entries[1][1] == g(1)
+        (b00, _), (_, b11) = ell.baker_matrix(d).entries
+        assert b00 == g(1)
+        assert b11 == g(1)
     # delta = 0: strictly upper triangular correction proportional to alpha
-    B = ell.baker_matrix(data(delta=g(0)))
-    assert B.entries[1][0].is_zero()
-    assert B.entries[0][1].terms and B.entries[0][1].parity() == 1
+    (_, b01), (b10, _) = ell.baker_matrix(data(delta=g(0))).entries
+    assert b10.is_zero()
+    assert b01.terms and b01.parity() == 1
 
 
 def test_ber_equals_inverse_tau_ratio():

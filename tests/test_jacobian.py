@@ -48,17 +48,18 @@ def test_connecting_map_block_structure(pd_generic):
     Q2 = jac.connecting_map(pd_generic, via_full_matrix=True)
     assert Q.isclose(Q2, 0.0)
     assert Q.is_even()
+    Qe = Q.entries
     # top-left (g-1)x(g-1) block vanishes identically
-    assert Q.entries[0][0].is_zero()
+    assert Qe[0][0].is_zero()
     # Z_o^t / -Z_o / Z_e^t - Z_e blocks
     for a in range(G - 1):
         for j in range(G):
-            assert Q.entries[a][G - 1 + j] == pd_generic.Z_o[j][a]
-            assert Q.entries[G - 1 + j][a] == -pd_generic.Z_o[j][a]
+            assert Qe[a][G - 1 + j] == pd_generic.Z_o[j][a]
+            assert Qe[G - 1 + j][a] == -pd_generic.Z_o[j][a]
     for i in range(G):
         for j in range(G):
             want = pd_generic.Z_e[j][i] - pd_generic.Z_e[i][j]
-            assert Q.entries[G - 1 + i][G - 1 + j] == want
+            assert Qe[G - 1 + i][G - 1 + j] == want
 
 
 def test_dual_cohomology_split(pd_split):
@@ -83,6 +84,15 @@ def test_dual_cohomology_rank_nullity(pd_generic):
     rep = jac.dual_cohomology(pd_generic)
     assert rep.dim_ker_odd + rep.rank_odd == rep.dim_domain_odd
     assert rep.dim_domain_odd == (G - 1) * (1 << N) // 2
+
+
+def test_dual_cohomology_is_blind_to_the_scale_of_Zo(pd_generic):
+    # scaling a map leaves its kernel alone; an absolute rank tolerance did not
+    want = jac.dual_cohomology(pd_generic).as_dict()
+    for scale in (1e-10, 1e10):
+        Zo = [[e * scale for e in row] for row in pd_generic.Z_o]
+        pd = jac.PeriodData(g=G, Z_e=pd_generic.Z_e, Z_o=Zo, n=N)
+        assert jac.dual_cohomology(pd).as_dict() == want
 
 
 def test_curve_cohomology_table():

@@ -36,15 +36,16 @@ def banded_frame(window):
 
 def _nonzero(op):
     """{(row d, col d): value} over the nonzero entries of a window operator."""
-    return {(r, c): op.entries[op.window.pos(r)][op.window.pos(c)]
+    grid = op.entries
+    return {(r, c): grid[op.window.pos(r)][op.window.pos(c)]
             for r in op.window.indices for c in op.window.indices
-            if op.entries[op.window.pos(r)][op.window.pos(c)].terms}
+            if grid[op.window.pos(r)][op.window.pos(c)].terms}
 
 
 def _elementary(window, r, c):
-    op = sgr.WindowOperator.zero(window, N)
-    op.entries[window.pos(r)][window.pos(c)] = g(1)
-    return op
+    grid = sgr.WindowOperator.zero(window, N).entries
+    grid[window.pos(r)][window.pos(c)] = g(1)
+    return sgr.WindowOperator(window, N, grid)
 
 
 # -- window positions and multiplication matrices -----------------------------------
@@ -66,9 +67,10 @@ def test_unit_symbol_is_identity(window):
 
 def test_z_inverse_band_covers_both_lines(window):
     op, _ = sgr.multiplication_matrix(window, {("z", -1): g(1)}, N)
+    grid = op.entries
     for d in window.indices:
         if window.contains(d - 2):
-            assert op.entries[window.pos(d - 2)][window.pos(d)] == g(1)
+            assert grid[window.pos(d - 2)][window.pos(d)] == g(1)
 
 
 def test_lambda_plus_mu_is_z_power(window):
@@ -88,10 +90,11 @@ def test_composition_matches_symbol_product(window):
     want, _ = sgr.multiplication_matrix(
         window, sgr.symbol_of_jheis(sgr.symbol_mul(sym_a, sym_b, N)), N)
     interior = [d for d in window.indices if abs(d) <= 2 * window.M - 6]
+    want_grid = want.entries
     for r in interior:
         for c in interior:
             lhs = prod[window.pos(r)][window.pos(c)]
-            rhs = want.entries[window.pos(r)][window.pos(c)]
+            rhs = want_grid[window.pos(r)][window.pos(c)]
             assert (lhs - rhs).norm_inf() < 1e-12
 
 
@@ -209,6 +212,19 @@ def test_tau_equals_band_route(M):
             assert (sgr.tau(frame, t).tau - want).norm_inf() < 1e-13
 
 
+def test_window_operations_make_no_conversion(rng, window, conversions):
+    frame = sgr.random_big_cell_frame(rng, window, N)
+    t = sgr.HeisenbergElement(N, {2: g(0.2), 1: mono([0], 0.3)})
+    X, _ = sgr.multiplication_matrix(window, {("z", -2): g(1), ("ztheta", 1): mono([1])}, N)
+    Y, _ = sgr.multiplication_matrix(window, {("z", 2): g(1)}, N)
+    conversions.clear()
+    assert sgr.tau(frame, t).finite
+    sgr.flowed_frame(frame, t)
+    assert sgr.big_cell_test(frame)[0]
+    sgr.cocycle(X, Y)
+    assert conversions == []
+
+
 # -- big cell ----------------------------------------------------------------------
 
 
@@ -221,9 +237,10 @@ def test_standard_frame_in_big_cell(window):
 
 
 def test_zero_body_column_fails(window):
-    frame = sgr.standard_frame(window, N)
+    grid = sgr.standard_frame(window, N).entries
     col = window.neg_indices.index(-2)
-    frame.entries[window.indices.index(-2)][col] = mono([0, 1], 0.5)
+    grid[window.indices.index(-2)][col] = mono([0, 1], 0.5)
+    frame = sgr.TruncatedFrame(window, N, grid)
     ok, _ = sgr.big_cell_test(frame)
     assert not ok
 
@@ -231,10 +248,11 @@ def test_zero_body_column_fails(window):
 def test_delta_example_fails_big_cell(window):
     # column delta + z with nilpotent delta does not project onto e_0
     delta = mono([0, 1], 0.4)
-    frame = sgr.standard_frame(window, N)
+    grid = sgr.standard_frame(window, N).entries
     col0 = window.neg_indices.index(0)
-    frame.entries[window.indices.index(0)][col0] = delta
-    frame.entries[window.indices.index(2)][col0] = g(1)
+    grid[window.indices.index(0)][col0] = delta
+    grid[window.indices.index(2)][col0] = g(1)
+    frame = sgr.TruncatedFrame(window, N, grid)
     ok, _ = sgr.big_cell_test(frame)
     assert not ok
 
@@ -243,11 +261,11 @@ def _ill_conditioned_frame():
     # minus-block body diag(100, 5e-9, 1, ...): full rank to an absolute 1e-9,
     # condition number 2e10 to the relative body test
     window = sgr.TruncationWindow(4)
-    frame = sgr.standard_frame(window, 2)
+    grid = sgr.standard_frame(window, 2).entries
     for d, v in zip(window.neg_indices[:2], (100.0, 5e-9)):
-        frame.entries[window.indices.index(d)][window.neg_indices.index(d)] = \
+        grid[window.indices.index(d)][window.neg_indices.index(d)] = \
             GrassmannScalar.scalar(2, v)
-    return frame
+    return sgr.TruncatedFrame(window, 2, grid)
 
 
 def test_ill_conditioned_minus_block_is_outside_big_cell():
@@ -314,9 +332,10 @@ def test_baker_functions_are_symbols_of_baker_vectors(banded_frame):
 
 
 def test_baker_requires_big_cell(window):
-    frame = sgr.standard_frame(window, N)
+    grid = sgr.standard_frame(window, N).entries
     col0 = window.neg_indices.index(0)
-    frame.entries[window.indices.index(0)][col0] = g(0)
+    grid[window.indices.index(0)][col0] = g(0)
+    frame = sgr.TruncatedFrame(window, N, grid)
     with pytest.raises(BigCellError):
         sgr.baker_vectors(frame)
 
@@ -375,11 +394,12 @@ def test_tau_cocycle_property(window, rng):
 
 def test_tau_pole_reported(window):
     # a frame engineered to leave the big cell under the flow
-    frame = sgr.standard_frame(window, N)
+    grid = sgr.standard_frame(window, N).entries
     i0 = window.indices.index(0)
     col0 = window.neg_indices.index(0)
-    frame.entries[i0][col0] = g(0.25)          # shrunk diagonal entry
-    frame.entries[window.indices.index(2)][col0] = g(1.0)  # strong z-component
+    grid[i0][col0] = g(0.25)          # shrunk diagonal entry
+    grid[window.indices.index(2)][col0] = g(1.0)  # strong z-component
+    frame = sgr.TruncatedFrame(window, N, grid)
     t = sgr.HeisenbergElement(N, {2: g(0.25)})  # exp(-t z^-1) pushes z down to e_0
     val = sgr.tau(frame, t)
     assert not val.finite and val.tau is None
@@ -404,10 +424,11 @@ def test_baker_tau_quotient_standard_frame(window):
 
 def test_baker_tau_quotient_raises_off_the_big_cell(window):
     # the frame and flow of test_tau_pole_reported
-    frame = sgr.standard_frame(window, N)
+    grid = sgr.standard_frame(window, N).entries
     col0 = window.neg_indices.index(0)
-    frame.entries[window.indices.index(0)][col0] = g(0.25)
-    frame.entries[window.indices.index(2)][col0] = g(1.0)
+    grid[window.indices.index(0)][col0] = g(0.25)
+    grid[window.indices.index(2)][col0] = g(1.0)
+    frame = sgr.TruncatedFrame(window, N, grid)
     t = sgr.HeisenbergElement(N, {2: g(0.25)})
     with pytest.raises(BigCellError):
         sgr.baker_tau_quotient_check(frame, t, [0.1], mono([3], 0.7))

@@ -183,7 +183,7 @@ def test_inverse_entries_are_quasidet_inverses(rng, shape):
     k = shape[0]
     m = sum(shape)
     A = random_even_matrix(rng, shape, n)
-    B = invert_matrix(A)
+    B = invert_matrix(A).entries
     ber_A = berezinian(A)
     ber_star_A = berezinian_star(A)
     for i in range(m):
@@ -198,7 +198,7 @@ def test_inverse_entries_are_quasidet_inverses(rng, shape):
             assert (q * ber(A.delete(j, i)) * sign - whole).norm_inf() < 1e-9
             if abs(q.body) < 1e-6:
                 continue
-            assert (B.entries[i][j] - q.invert()).norm_inf() < 1e-8
+            assert (B[i][j] - q.invert()).norm_inf() < 1e-8
 
 
 def test_singular_body_raises():
@@ -401,8 +401,9 @@ def test_shape_mismatch():
 def _supertrace(M):
     k = M.row_shape[0]
     acc = GrassmannScalar.zero(M.n)
+    entries = M.entries
     for i in range(M.nrows):
-        acc = acc + (M.entries[i][i] if i < k else -M.entries[i][i])
+        acc = acc + (entries[i][i] if i < k else -entries[i][i])
     return acc
 
 
@@ -437,3 +438,95 @@ def test_matrix_json_roundtrip(rng):
     B = SuperMatrix.from_json(A.to_json())
     assert B.isclose(A, 0)
     assert B.row_shape == A.row_shape and B.col_shape == A.col_shape
+
+
+def test_oracle_scales_with_the_right_hand_side(rng):
+    # an absolute cutoff of 1e-12 zeroed every coefficient of a solution this small
+    n = 4
+    A = random_even_matrix(rng, (2, 1), n)
+    y = random_vector(rng, 3, n)
+    x = oracle_solve(SuperLinearSystem(A, y))
+    small = oracle_solve(SuperLinearSystem(A, [v * 1e-14 for v in y]))
+    for a, b in zip(x, small):
+        assert b.terms
+        assert (b * 1e14 - a).norm_inf() < 1e-9 * a.norm_inf()
+
+
+def test_operations_on_built_matrices_make_no_conversion(rng, conversions):
+    n = 4
+    A = random_even_matrix(rng, (2, 1), n)
+    B = random_even_matrix(rng, (2, 1), n)
+    conversions.clear()
+    berezinian(A @ B)
+    berezinian_star(A)
+    invert_matrix(A)
+    quasideterminant(A, 0, 0)
+    assert conversions == []
+
+
+# -- one parity rule, lossless storage ----------------------------------------------
+
+
+def _entrywise_even(grid, row_parity, col_parity):
+    """The entrywise rule: a nonzero entry is homogeneous of parity row + col mod 2."""
+    return all(not e.terms or e.parity() == (rp + cp) & 1
+               for row, rp in zip(grid, row_parity) for e, cp in zip(row, col_parity))
+
+
+@st.composite
+def _entry(draw, n, want):
+    """Zero, or up to three terms; the masks have the slot's parity or are arbitrary."""
+    right = [m for m in range(1 << n) if bin(m).count("1") & 1 == want]
+    mask = st.integers(0, (1 << n) - 1)
+    if right:
+        mask = st.one_of(st.sampled_from(right), mask)
+    terms = draw(st.lists(st.tuples(mask, st.sampled_from([1.0, -0.5 + 2j, 1e-300, 3e8j])),
+                          max_size=3))
+    return GrassmannScalar(n, dict(terms))
+
+
+@st.composite
+def _matrix_case(draw):
+    n = draw(st.sampled_from([0, 2, 4]))
+    k, l, p, q = (draw(st.integers(0, 2)) for _ in range(4))
+    row_parity, col_parity = [0] * k + [1] * l, [0] * p + [1] * q
+    grid = [[draw(_entry(n, (rp + cp) & 1)) for cp in col_parity] for rp in row_parity]
+    return (k, l), (p, q), grid, row_parity, col_parity
+
+
+@st.composite
+def _frame_case(draw):
+    from supercurves import sgr
+
+    n = draw(st.sampled_from([0, 2, 4]))
+    window = sgr.TruncationWindow(2)
+    rows, cols = window.indices, window.neg_indices
+    grid = [[GrassmannScalar.zero(n)] * len(cols) for _ in rows]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.integers(0, len(cols) - 1)), max_size=4)):
+        grid[i][j] = draw(_entry(n, (rows[i] + cols[j]) & 1))
+    return window, n, grid
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_matrix_case())
+def test_matrix_parity_check_and_storage_match_the_entries(case):
+    row_shape, col_shape, grid, row_parity, col_parity = case
+    A = SuperMatrix(row_shape, col_shape, grid)
+    assert A.is_even() == _entrywise_even(grid, row_parity, col_parity)
+    assert A.entries == grid
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_frame_case())
+def test_frame_parity_check_and_storage_match_the_entries(case):
+    from supercurves import sgr
+
+    window, n, grid = case
+    frame = sgr.TruncatedFrame(window, n, grid)
+    if _entrywise_even(grid, [d & 1 for d in window.indices], [d & 1 for d in window.neg_indices]):
+        frame.require_even()
+    else:
+        with pytest.raises(ParityError):
+            frame.require_even()
+    assert frame.entries == grid
