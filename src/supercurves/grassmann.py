@@ -9,13 +9,17 @@ monomial structure; only the complex coefficients are floating point.
 Products of two elements stay sparse: ``GrassmannScalar.__mul__`` pairs the
 nonzero terms.  Matrices over Lambda are held as complex arrays of shape
 (2^n, rows, cols), slot [m, i, j] holding the coefficient of monomial m in
-entry (i, j); ``SuperMatrix`` and the window operators and frames of ``sgr``
+entry (i, j), with optional batch axes between the monomial axis and the
+matrix axes; ``SuperMatrix`` and the window operators and frames of ``sgr``
 store nothing else.  ``array_mul`` multiplies two such arrays through a table
-of the 3^n disjoint mask pairs, and ``parity_violations`` checks the parity
-rule of a whole array at once.  Grids, lists of rows of elements, are the
-edge: ``grid_array`` expands one into an array and ``array_grid`` reads an
-array back; ``grid_mul`` is these three steps, for the callers (period
-matrices, theta) that keep grids.
+of the 3^n disjoint mask pairs, by one of two contractions: a batched
+``matmul`` over the pairs for the large matrices of ``sgr``, and vector
+multiply-adds with the pairs innermost for the 1 x 1 to 4 x 4 blocks of the
+Berezinians, where one BLAS call per pair costs more than its arithmetic.
+``parity_violations`` checks the parity rule of a whole array at once.
+Grids, lists of rows of elements, are the edge: ``grid_array`` expands one
+into an array and ``array_grid`` reads an array back; ``grid_mul`` is these
+three steps, for the callers (period matrices, theta) that keep grids.
 
 The number of generators is configuration (the underlying theory never fixes
 it) and is capped at 12, the largest n at which a grid product was measured:
@@ -26,6 +30,7 @@ pair table holds 531441 pairs (17 MB).  At n = 16 the table alone would hold
 
 from __future__ import annotations
 
+import math
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
 
@@ -424,6 +429,12 @@ _PAIR_TABLES: Dict[int, tuple] = {}
 # complex entries the kernel's temporaries may hold at once (16 bytes each)
 _KERNEL_BUDGET = 1 << 14
 
+# array_mul contracts with the pairs innermost up to this many number products per
+# pair (rows * inner * cols) and from this many pairs on; the timings behind both
+# are in its docstring
+_TINY_PRODUCT = 64
+_TINY_MIN_PAIRS = 32
+
 
 def _pair_table(n: int) -> tuple:
     """The 3^n disjoint mask pairs as rows (a, b, a | b) and their merge signs, sorted by a | b.
@@ -520,33 +531,94 @@ def array_mul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:
     """The product of two grids held as arrays (see ``grid_array``), as an array.
 
     Slot k of entry (i, j) is the sum over inner r and over the disjoint pairs
-    a | b = k of sign(a, b) A[a, i, r] B[b, r, j]: one matrix product per pair
-    of monomials both operands use, run in chunks whose temporaries hold at
-    most ``_KERNEL_BUDGET`` entries.  A slot that no pair reaches stays an
-    exact zero.
+    a | b = k of sign(a, b) A[a, i, r] B[b, r, j], for the pairs of monomials
+    both operands use, run in chunks whose temporaries hold at most
+    ``_KERNEL_BUDGET`` entries.  A slot that no pair reaches stays an exact
+    zero.  Leading batch axes, (2^n, *batch, rows, cols), broadcast as in
+    ``np.matmul``.
+
+    Two contractions, chosen by the shape one pair multiplies and the number
+    of pairs (timings on a 2-core Xeon VM, numpy 2.4, one BLAS thread).
+    ``matmul`` makes one BLAS call per pair, about 0.35 us for a 2 x 2 or
+    3 x 3 pair, far more than the pair's arithmetic.  Up to
+    ``_TINY_PRODUCT`` products of numbers per pair (rows * inner * cols) the
+    operands are instead gathered with the pair axis last, and each inner
+    index is one vector multiply-add over all the pairs: at n = 6 (729
+    pairs) a 2 x 2 product takes 70 us this way against 270 us by
+    ``matmul``, a 4 x 4 one 280 us against 350 us.  A 5 x 5 pair costs more
+    elementwise, as do the 48 x 48 window matrices of ``sgr``.  A
+    matrix-vector pair whose inner length passes twice its short side also
+    stays with ``matmul``, which runs no BLAS call for it, while its
+    multiply-adds are many and thin: a 6 x 6 times 6 x 1 product at n = 6
+    takes 210 us elementwise against 150 us.  The elementwise route costs
+    about 8 us more to set up, so below ``_TINY_MIN_PAIRS`` pairs (a 3 x 3
+    product at n = 4 whose left side has one generator in every monomial,
+    say) ``matmul`` stays the faster one.
     """
-    rows, inner = A.shape[1:]
-    cols = B.shape[2]
-    if B.shape[1] != inner:
+    rows, inner = A.shape[-2:]
+    cols = B.shape[-1]
+    if B.shape[-2] != inner:
         raise DimensionError("inner dimension mismatch")
     if len(A) != 1 << n or len(B) != 1 << n:
         raise DimensionError(f"operands do not both live over n={n}")
+    batch = A.shape[1:-2]
+    if B.shape[1:-2] != batch:
+        batch = np.broadcast_shapes(batch, B.shape[1:-2])
+        # the same number of batch axes on both sides, behind the monomial axis
+        A, B = (X.reshape(len(X), *[1] * (len(batch) + 3 - X.ndim), *X.shape[1:]) for X in (A, B))
     table, signs = _pair_table(n)
-    keep = A.any(axis=(1, 2))[table[0]] & B.any(axis=(1, 2))[table[1]]
+    axes = tuple(range(1, A.ndim))
+    keep = A.any(axis=axes)[table[0]] & B.any(axis=axes)[table[1]]
     a, b, k = table.compress(keep, axis=1)
-    sign = signs[keep, None, None]
-    C = np.zeros((1 << n, rows, cols), dtype=complex)
-    step = max(1, _KERNEL_BUDGET // max(1, rows * inner + inner * cols + rows * cols))
+    sign = signs[keep]
+    C = np.zeros((1 << n, *batch, rows, cols), dtype=complex)
+    out = C
+    tiny = _pairs_innermost(rows, inner, cols, len(k))
+    if tiny:  # monomials last: (*batch, rows, cols, 2^n)
+        last = (*range(1, C.ndim), 0)
+        out = C.transpose(last)
+        A, B = (np.ascontiguousarray(X.transpose(last)) for X in (A, B))
+    else:
+        sign = sign.reshape(-1, *[1] * (len(batch) + 2))
+    # gathered operands and a product per pair; the tiny contraction also holds a
+    # multiply-add buffer and numpy's buffers for its two broadcast operands
+    per_pair = math.prod(batch) * (rows * inner + inner * cols + (1 + 3 * tiny) * rows * cols)
+    step = max(1, _KERNEL_BUDGET // max(1, per_pair))
     for lo in range(0, len(k), step):
         ks = k[lo:lo + step]
         first = np.empty(len(ks), dtype=bool)  # where each merged mask's pairs start
         first[0] = True
         np.not_equal(ks[1:], ks[:-1], out=first[1:])
         starts = first.nonzero()[0]
-        prod = np.matmul(A[a[lo:lo + step]], B[b[lo:lo + step]])
-        prod *= sign[lo:lo + step]
-        C[ks[starts]] += np.add.reduceat(prod, starts)
+        if tiny:
+            prod = _pairs_last(A, B, a[lo:lo + step], b[lo:lo + step], sign[lo:lo + step])
+            out[..., ks[starts]] += np.add.reduceat(prod, starts, axis=-1)
+        else:
+            prod = np.matmul(A[a[lo:lo + step]], B[b[lo:lo + step]])
+            prod *= sign[lo:lo + step]
+            C[ks[starts]] += np.add.reduceat(prod, starts)
     return C
+
+
+def _pairs_innermost(rows: int, inner: int, cols: int, pairs: int) -> bool:
+    """Whether ``array_mul`` takes the contraction with the pairs innermost."""
+    return (pairs >= _TINY_MIN_PAIRS and rows * inner * cols <= _TINY_PRODUCT
+            and inner <= 2 * min(rows, cols))
+
+
+def _pairs_last(A: np.ndarray, B: np.ndarray, a, b, sign) -> np.ndarray:
+    """sign * sum_r A[..., i, r, a] B[..., r, j, b] for arrays with the monomial axis last.
+
+    The result has the pairs on its last axis.  Each inner index r is one
+    vector multiply-add over all the pairs at once.
+    """
+    Ag, Bg = A.take(a, axis=-1), B.take(b, axis=-1)
+    prod = Ag[..., :, 0, None, :] * Bg[..., None, 0, :, :]
+    tmp = np.empty_like(prod) if Ag.shape[-2] > 1 else None
+    for r in range(1, Ag.shape[-2]):
+        prod += np.multiply(Ag[..., :, r, None, :], Bg[..., None, r, :, :], out=tmp)
+    prod *= sign
+    return prod
 
 
 def grid_mul(A: Sequence[Sequence], B: Sequence[Sequence], n: int) -> Grid:

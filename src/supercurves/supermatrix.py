@@ -14,7 +14,19 @@ layout of ``grassmann.grid_array``; products, sums, blocks, inverses and
 Berezinians work on that array.  Grids of elements appear only at the edge:
 the constructor, the ``entries``/``row``/``col`` views, JSON, and the public
 functions that take raw grids or rows (``det_even`` and ``invert_even`` on a
-grid, ``det_even_laplace``, the substituted rows, the oracle).
+grid, ``det_even_laplace``, the substituted rows, the right-hand side of the
+oracle).
+
+A determinant or Berezinian is carried as det(body) times the coefficient
+vector of its nilpotent logarithm, read off the powers of body^-1 soul, and
+ends in one exponential of that vector: no element arithmetic runs inside.
+The factorization helpers take a single matrix or a stack (2^n, *batch, r, r)
+alike.  Cramer's rule uses that: the minors A^{ij} of one parity class, each
+row at its best-conditioned admissible column, are factored as one stack, and
+x_i = (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij})/ber(A) is one product per class.
+It takes nothing from ``invert_matrix(A)`` or y A^-1, the routes it is
+checked against, and the oracle takes nothing from the Berezinian code or
+the Lambda products.
 """
 
 from __future__ import annotations
@@ -189,17 +201,20 @@ class SuperMatrix:
 # -- raw grid helpers ----------------------------------------------------------
 
 def _require_invertible_body(body: np.ndarray, what: str) -> None:
-    """Raise NotInvertibleError unless sigma_min(body) > _BODY_TOL * sigma_max(body).
+    """Raise NotInvertibleError unless sigma_min > _BODY_TOL * sigma_max for the body.
 
     The one invertibility test for bodies: relative, so blind to scale, and
     catching a nearly singular direction whatever the size of the matrix.
+    A stack of bodies (..., r, r) passes when each of them does.
     """
     if body.size == 0:
         return
     if not np.isfinite(body).all():
         raise NotInvertibleError(f"{what} is not finite")
     s = np.linalg.svd(body, compute_uv=False)
-    if s[-1] <= _BODY_TOL * s[0]:
+    singular = s[..., -1] <= _BODY_TOL * s[..., 0]
+    if singular.any():
+        s = s[singular][0]
         cond = s[0] / s[-1] if s[-1] else math.inf
         raise NotInvertibleError(f"{what} is singular (condition number {cond:.3g})")
 
@@ -256,7 +271,7 @@ def det_even_laplace(M, n: int) -> GrassmannScalar:
     return rec(full)
 
 
-def _factor(D: np.ndarray, n: int, what: str):
+def _factor(D: np.ndarray, n: int, what: str, even: bool = False):
     """Factor a square matrix held as an array once.
 
     Runs the body test and returns (body, body^-1, [N, N^2, ...]) with
@@ -264,23 +279,29 @@ def _factor(D: np.ndarray, n: int, what: str):
     """
     body = D[0]
     _require_invertible_body(body, what)
-    return (body, *_series(D, body, n))
+    return (body, *_series(D, body, n, even))
 
 
-def _series(D: np.ndarray, body: np.ndarray, n: int):
-    """(body^-1, [N, N^2, ...]) for a square array whose body has passed the body test.
+def _series(D: np.ndarray, body: np.ndarray, n: int, even: bool = False):
+    """(body^-1, [N, N^2, ...]) for square arrays whose bodies have passed the body test.
 
-    body^-1 is central, so N is one matrix product per monomial.  The powers
-    stay arrays and stop at the first zero one, which nilpotency of N
-    guarantees.  The inverse and the determinant are both read off this list.
+    D is (2^n, *batch, r, r) and body (*batch, r, r): a single matrix and a
+    stack take the same path.  body^-1 is central, so N is one matrix product
+    per monomial.  The powers stay arrays.  Each monomial of N has a
+    generator, two when every entry of D is ``even``, so N^r vanishes beyond
+    r = n (n // 2); the powers stop there or at the first zero one.  The
+    inverse and the log-determinant are both read off this list.
     """
     binv = np.linalg.inv(body)
     N = np.matmul(binv, D)
     N[0] = 0  # body^-1 times the soul
+    depth = n // 2 if even else n
     powers = []
     power = N
     while power.any():
         powers.append(power)
+        if len(powers) == depth:
+            break
         power = array_mul(power, N, n)
     return binv, powers
 
@@ -288,19 +309,42 @@ def _series(D: np.ndarray, body: np.ndarray, n: int):
 def _inverse(binv: np.ndarray, powers, n: int) -> np.ndarray:
     """(sum_r (-N)^r) body^-1 from the factorization of ``_factor``, as an array."""
     acc = np.zeros((1 << n, *binv.shape), dtype=complex)
-    acc[0] = np.eye(len(binv))
+    acc[0] = np.eye(binv.shape[-1])
     for r, power in enumerate(powers):
         acc += power if r % 2 else -power
     return np.matmul(acc, binv)
 
 
-def _det(body: np.ndarray, powers, n: int) -> GrassmannScalar:
-    """det(body) exp(sum_r (-1)^(r+1) tr(N^r)/r) for a matrix of even entries."""
-    logdet = np.zeros(1 << n, dtype=complex)
+def _logdet(body: np.ndarray, powers, n: int) -> np.ndarray:
+    """The nilpotent part of log det, sum_r (-1)^(r+1) tr(N^r)/r, as coefficients (2^n, *batch).
+
+    det = det(body) exp(this) for matrices of even entries; the slot of the
+    empty monomial is an exact zero, since N has no body.
+    """
+    out = np.zeros((1 << n, *body.shape[:-2]), dtype=complex)
     for r, power in enumerate(powers, 1):
-        logdet += np.trace(power, axis1=1, axis2=2) * ((-1.0) ** (r + 1) / r)
-    logdet = GrassmannScalar(n, {m: c for m, c in enumerate(logdet.tolist()) if c})
-    return logdet.exp() * complex(np.linalg.det(body))
+        out += np.trace(power, axis1=-2, axis2=-1) * ((-1.0) ** (r + 1) / r)
+    return out
+
+
+def _exp(L: np.ndarray, n: int) -> np.ndarray:
+    """exp(L) for even coefficient vectors (2^n, *batch) with no body: powers of one array.
+
+    Each monomial of L has two generators or more, so the Taylor series ends
+    at L^(n // 2) / (n // 2)!.
+    """
+    X = L[..., None, None]
+    term, out = X, X.copy()
+    out[0] += 1
+    for r in range(2, n // 2 + 1):
+        term = array_mul(term, X, n) / r
+        out += term
+    return out[..., 0, 0]
+
+
+def _element(v: np.ndarray, n: int) -> GrassmannScalar:
+    """The element with coefficient vector v (2^n,)."""
+    return array_elements(v[:, None], n)[0]
 
 
 def det_even(M, n: int | None = None) -> GrassmannScalar:
@@ -322,10 +366,10 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
         raise DimensionError("determinant of a non-square matrix")
     _require_even_entries(D)
     try:
-        body, _, powers = _factor(D, n, "matrix body")
+        body, _, powers = _factor(D, n, "matrix body", even=True)
     except NotInvertibleError:
         return det_even_laplace(M, n)
-    return _det(body, powers, n)
+    return _element(np.linalg.det(body) * _exp(_logdet(body, powers, n), n), n)
 
 
 def invert_even(M: Grid, n: int) -> Grid:
@@ -336,30 +380,38 @@ def invert_even(M: Grid, n: int) -> Grid:
 
 # -- Berezinians ----------------------------------------------------------------
 
-def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
-    """det(S) det(P)^-1, S = K - a P^-1 b: ber with pivot P = Y, ber* with P = X.
+def _log_ber(D: np.ndarray, k: int, star: bool, n: int):
+    """ber (ber* when star) of even arrays (2^n, *batch, m, m) with k even rows, as (scale, L).
 
-    alpha and beta are odd, so A's body is diag(body X, body Y) and S has the
-    body of K.  The one body test is the whole-matrix test of
-    ``invert_matrix``, made before any Lambda product, so a singular matrix
-    raises at once; P and S are then factored without testing again.
+    The value is scale exp(L): det(S) det(P)^-1 with S = K - a P^-1 b and
+    pivot P = Y for ber, P = X for ber*, so scale = det(body K)/det(body P)
+    and L = L(S) - L(P) for the nilpotent log-determinants L of ``_logdet``.
+    alpha and beta are odd, so S has the body of K.  The caller has run the
+    body test, so P and S are factored without testing again.
+    """
+    X, alpha, beta, Y = D[..., :k, :k], D[..., :k, k:], D[..., k:, :k], D[..., k:, k:]
+    K, a, P, b = (Y, beta, X, alpha) if star else (X, alpha, Y, beta)
+    kbody, pbody = K[0], P[0]
+    pinv, ppowers = _series(P, pbody, n, even=True)
+    S = K - array_mul(array_mul(a, _inverse(pinv, ppowers, n), n), b, n)
+    _, spowers = _series(S, kbody, n, even=True)
+    return (np.linalg.det(kbody) / np.linalg.det(pbody),
+            _logdet(kbody, spowers, n) - _logdet(pbody, ppowers, n))
+
+
+def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
+    """ber or ber* of a square even matrix through ``_log_ber``, ending in one exponential.
+
+    A's body is diag(body X, body Y).  The one body test is the whole-matrix
+    test of ``invert_matrix``, made before any Lambda product, so a singular
+    matrix raises at once.
     """
     if not A.is_square():
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
-    n, D = A.n, A.array
-    body = D[0]
-    _require_invertible_body(body, "matrix body")
-    k = A.row_shape[0]
-    X, alpha, beta, Y = D[:, :k, :k], D[:, :k, k:], D[:, k:, :k], D[:, k:, k:]
-    xbody, ybody = body[:k, :k], body[k:, k:]
-    K, a, P, b, kbody, pbody = ((Y, beta, X, alpha, ybody, xbody) if star
-                                else (X, alpha, Y, beta, xbody, ybody))
-    pinv, ppowers = _series(P, pbody, n)
-    S = K - array_mul(array_mul(a, _inverse(pinv, ppowers, n), n), b, n)
-    _, spowers = _series(S, kbody, n)
-    dS, dP_inv = _det(kbody, spowers, n), _det(pbody, ppowers, n).invert()
-    return dP_inv * dS if star else dS * dP_inv  # each formula's own factor order
+    _require_invertible_body(A.array[0], "matrix body")
+    scale, L = _log_ber(A.array, A.row_shape[0], star, A.n)
+    return _element(scale * _exp(L, A.n), A.n)
 
 
 def berezinian(A: SuperMatrix) -> GrassmannScalar:
@@ -386,23 +438,57 @@ def _same_class(A: SuperMatrix, i: int, j: int) -> bool:
     return (i < A.row_shape[0]) == (j < A.col_shape[0])
 
 
-def _quasidet_functional(A: SuperMatrix, i: int, j: int):
+def _others(index, m: int) -> np.ndarray:
+    """Row t lists range(m) without index[t]: the kept rows (or columns) of each minor."""
+    return np.array([[r for r in range(m) if r != i] for i in index],
+                    dtype=np.intp).reshape(len(index), m - 1)
+
+
+def _best_columns(A: SuperMatrix, rows, columns) -> np.ndarray:
+    """For each row i, the column j of ``columns`` whose minor A^{ij} has the best-conditioned body.
+
+    The bodies of all the candidate minors go through one batched SVD, which
+    is also their body test (that of ``_require_invertible_body``).
+    """
+    m = A.nrows
+    if m == 1:
+        return np.full(len(rows), columns[0])
+    bodies = A.array[0][_others(rows, m)[:, None, :, None], _others(columns, m)[None, :, None, :]]
+    finite = np.isfinite(bodies).all(axis=(-2, -1))
+    s = np.linalg.svd(np.where(finite[..., None, None], bodies, 0), compute_uv=False)
+    ok = finite & (s[..., -1] > _BODY_TOL * s[..., 0])
+    cond = np.where(ok, s[..., 0] / np.where(ok, s[..., -1], 1), math.inf)
+    best = cond.argmin(axis=1)
+    if not ok[np.arange(len(rows)), best].all():
+        raise NotInvertibleError("no admissible column for the substituted Berezinian: "
+                                 "every candidate minor has a singular body")
+    return np.asarray(columns)[best]
+
+
+def _quasidet_functional(A: SuperMatrix, rows, cols):
     """Y -> |A_i(y)|_{ij} = y_j - sum_{p!=j, q!=i} y_p c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
 
-    Y holds rows y as a (2^n, rows, m) array; the result is (2^n, rows), one
-    quasideterminant per row.  The column contraction sum_q c_pq a_qj is
-    formed once, so all the rows cost one product.
+    One functional for each pair (i, j) = (rows[t], cols[t]), whose minor
+    bodies have passed the body test.  The minors are stacked and factored by
+    one ``_series``.  Y holds rows y as a (2^n, R, m) array; the result is
+    (2^n, t, R), one quasideterminant per pair and row.  The column
+    contraction sum_q c_pq a_qj is formed once, so all the rows cost one
+    product.  Returns the functional and the stacked minors (2^n, t, m-1, m-1).
     """
-    n = A.n
-    corr = array_mul(invert_matrix(A.delete(i, j)).array,
-                     np.delete(A.array[:, :, j:j + 1], i, axis=1), n)
+    n, m = A.n, A.nrows
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    keep_r, keep_c = _others(rows, m), _others(cols, m)
+    minors = A.array[:, keep_r[:, :, None], keep_c[:, None, :]]
+    binv, powers = _series(minors, minors[0], n)
+    corr = array_mul(_inverse(binv, powers, n), A.array[:, keep_r, cols[:, None]][..., None], n)
 
     def evaluate(Y: np.ndarray) -> np.ndarray:
-        if Y.shape[2] != A.nrows:
+        if Y.shape[2] != m:
             raise DimensionError("substituted row has wrong length")
-        return Y[:, :, j] - array_mul(np.delete(Y, j, axis=2), corr, n)[:, :, 0]
+        rest = Y[:, :, keep_c].swapaxes(1, 2)
+        return Y[:, :, cols].swapaxes(1, 2) - array_mul(rest, corr, n)[..., 0]
 
-    return evaluate
+    return evaluate, minors
 
 
 def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
@@ -417,7 +503,27 @@ def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
         raise ParityError("row and column index lie in different parity classes")
     if A.nrows == 1:
         return A.row(0)[0]
-    return array_elements(_quasidet_functional(A, i, j)(A.array[:, i:i + 1]), A.n)[0]
+    _require_invertible_body(np.delete(np.delete(A.array[0], i, 0), j, 1), "matrix body")
+    evaluate, _ = _quasidet_functional(A, [i], [j])
+    return _element(evaluate(A.array[:, i:i + 1])[:, 0, 0], A.n)
+
+
+def _substitution(A: SuperMatrix, rows, columns, star: bool):
+    """The substituted Berezinians of rows of one parity class, stacked.
+
+    Row i substitutes at the column j of ``columns`` whose minor body is best
+    conditioned.  Returns (evaluate, scale, L): evaluate maps rows Y to
+    |A_i(y)|_{ij}, (2^n, len(rows), R), and (-1)^{i+j} ber(A^{ij}) (ber* when
+    star) is scale exp(L) for each row, from one Schur pass over the stacked
+    minors.  ber(A_i(y)) = (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij}) for any
+    admissible j.
+    """
+    rows = np.asarray(rows)
+    cols = _best_columns(A, rows, columns)
+    evaluate, minors = _quasidet_functional(A, rows, cols)
+    k = A.row_shape[0]
+    scale, L = _log_ber(minors, k - 1 if rows[0] < k else k, star, A.n)
+    return evaluate, np.where((rows + cols) & 1, -scale, scale), L
 
 
 def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
@@ -446,26 +552,19 @@ def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: 
     """Closure computing ber(A_i(y)) (or ber*) for arbitrary rows y.
 
     The closure takes the rows as a (2^n, rows, m) array and returns one
-    element per row.  The inverse of A^{ij} and the minor Berezinian are
-    cached, so sweeping many substituted rows (as the Baker-vector formulas
-    do) costs one inversion and one product.
+    element per row.  Without j, the column is the admissible one whose minor
+    body is best conditioned.  The minor is factored and its Berezinian
+    formed once, so sweeping many substituted rows (as the Baker-vector
+    formulas do) costs one product for the quasideterminants and one for the
+    factor.
     """
-    fn = berezinian_star if star else berezinian
-    last_error: Exception | None = None
-    columns = [j] if j is not None else [c for c in range(A.ncols) if _same_class(A, i, c)]
-    for col in columns:
-        if not _same_class(A, i, col):
-            raise ParityError("substitution column in the wrong parity class")
-        try:
-            minor = fn(A.delete(i, col))
-            qdet = _quasidet_functional(A, i, col)
-        except NotInvertibleError as exc:
-            last_error = exc
-            continue
-        signed_minor = minor * (-1.0 if (i + col) & 1 else 1.0)
-        return lambda Y: [q * signed_minor for q in array_elements(qdet(Y), A.n)]
-    raise NotInvertibleError("no admissible column for the substituted Berezinian") \
-        from last_error
+    A.require_even()
+    if j is not None and not _same_class(A, i, j):
+        raise ParityError("substitution column in the wrong parity class")
+    columns = [c for c in range(A.ncols) if _same_class(A, i, c)] if j is None else [j]
+    evaluate, scale, L = _substitution(A, [i], columns, star)
+    factor = (scale * _exp(L, A.n))[:, :, None, None]
+    return lambda Y: array_elements(array_mul(evaluate(Y)[..., None], factor, A.n)[:, 0, :, 0], A.n)
 
 
 # -- linear systems ----------------------------------------------------------------
@@ -485,18 +584,32 @@ class SuperLinearSystem:
 
 
 def solve_cramer(system: SuperLinearSystem) -> List[GrassmannScalar]:
-    """Solve x A = y via x_i = ber(A_i(y))/ber(A) (ber* in the odd slots)."""
+    """Solve x A = y via x_i = ber(A_i(y))/ber(A) (ber* in the odd slots).
+
+    Each parity class is one stacked pass: its minors A^{ij} are factored
+    together, and x_i = (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij})/ber(A) is one
+    array product over the class, with ber(A^{ij})/ber(A) (in the odd class
+    ber*(A^{ij}) ber(A), since ber* = 1/ber) one exponential of a
+    coefficient difference.  Nothing is taken from invert_matrix(A) or y A^-1,
+    the routes Cramer is checked against.
+    """
     A = system.matrix
     A.require_even()
-    Y = _row_array(system.rhs, A.nrows, A.n)
-    ber_A = berezinian(A)
-    ber_A_inv = ber_A.invert()
-    ber_star_A_inv = ber_A  # ber* = 1/ber
-    out = []
-    for i in range(A.nrows):
-        star = i >= A.row_shape[0]
-        value = substitution_functional(A, i, star=star)(Y)[0]
-        out.append(value * (ber_star_A_inv if star else ber_A_inv))
+    n, k, m = A.n, A.row_shape[0], A.nrows
+    Y = _row_array(system.rhs, m, n)
+    _require_invertible_body(A.array[0], "matrix body")
+    scale_A, L_A = _log_ber(A.array[:, None], k, False, n)  # a stack of one, to broadcast
+    out: List[GrassmannScalar] = []
+    for rows, star in ((range(k), False), (range(k, m), True)):
+        if not rows:
+            continue
+        evaluate, scale, L = _substitution(A, rows, rows, star)
+        if star:  # ber*(A^{ij}) / ber*(A) = ber*(A^{ij}) ber(A)
+            ratio = scale * scale_A * _exp(L + L_A, n)
+        else:
+            ratio = scale / scale_A * _exp(L - L_A, n)
+        x = array_mul(evaluate(Y)[..., None], ratio[..., None, None], n)
+        out.extend(array_elements(x[:, :, 0, 0], n))
     return out
 
 
@@ -507,18 +620,39 @@ def solve_via_inverse(system: SuperLinearSystem) -> List[GrassmannScalar]:
 
 # -- the C-expansion oracle ---------------------------------------------------------
 
+# the disjoint mask pairs of the oracle, built lazily per generator count
+_ORACLE_TABLES: dict = {}
+
+
+def _oracle_table(n: int) -> tuple:
+    """(u, s, t, left sign, right sign) over the 3^n disjoint mask pairs (t, s), u = t | s.
+
+    The operator of x -> a*x holds the left sign times a[t] at [u, s], and
+    that of x -> x*a the right sign.  Built from merge signs directly,
+    independent of ``GrassmannScalar.__mul__`` and of the pair table of
+    ``array_mul``.
+    """
+    table = _ORACLE_TABLES.get(n)
+    if table is None:
+        dim = 1 << n
+        pairs = [(t, s) for s in range(dim) for t in range(dim) if not t & s]
+        left = [sign_of_merge(t, s) for t, s in pairs]
+        right = [sign_of_merge(s, t) for t, s in pairs]
+        t, s = np.array(pairs, dtype=np.intp).T
+        table = _ORACLE_TABLES[n] = (t | s, s, t, np.array(left, dtype=float),
+                                     np.array(right, dtype=float))
+    return table
+
+
 def _mult_operator(a: GrassmannScalar, left: bool) -> np.ndarray:
     """Matrix of x -> a*x (left) or x -> x*a on the 2^n monomial basis.
 
-    Built from merge signs directly, independent of ``GrassmannScalar.__mul__``.
+    Column s, row u holds the merge sign times a[u ^ s] wherever s lies in u:
+    one gather through ``_oracle_table``.
     """
-    dim = 1 << a.n
-    M = np.zeros((dim, dim), dtype=complex)
-    for t, v in a.terms.items():
-        for s in range(dim):
-            if s & t:
-                continue
-            M[s | t, s] += (sign_of_merge(t, s) if left else sign_of_merge(s, t)) * v
+    u, s, t, lsign, rsign = _oracle_table(a.n)
+    M = np.zeros((1 << a.n, 1 << a.n), dtype=complex)
+    M[u, s] = (lsign if left else rsign) * a.coeffs()[t]
     return M
 
 
@@ -567,13 +701,11 @@ def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
     m = A.nrows
     n = A.n
     dim = 1 << n
-    entries = A.entries
-    big = np.zeros((m * dim, m * dim), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            a = entries[i][j]
-            if a.terms:
-                big[j * dim:(j + 1) * dim, i * dim:(i + 1) * dim] = right_mult_operator(a)
+    u, s, t, _, right = _oracle_table(n)
+    big = np.zeros((m, dim, m, dim), dtype=complex)
+    # block (j, i) is x -> x * a_ij, the right-multiplication operator of a_ij
+    big[:, u, :, s] = right[:, None, None] * A.array[t].transpose(0, 2, 1)
+    big = big.reshape(m * dim, m * dim)
     rhs = expand_vector(system.rhs, n)
     try:
         flat = np.linalg.solve(big, rhs)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercurves.errors import DimensionError, NotInvertibleError, ParityError
-from supercurves.grassmann import (MAX_GENERATORS, GrassmannScalar, RealStructure, grid_mul,
-                                   random_element)
+from supercurves import grassmann
+from supercurves.grassmann import (_KERNEL_BUDGET, _TINY_MIN_PAIRS, MAX_GENERATORS,
+                                   GrassmannScalar, RealStructure, array_elements, array_mul,
+                                   grid_mul, random_element)
 from supercurves.supermatrix import left_mult_operator
 
 N = 3
@@ -292,3 +295,109 @@ def test_grid_mul_of_even_frames_stays_even(rng):
     W = sgr.random_big_cell_frame(rng, window, 4)
     square = [W.entries[window.pos(d)] for d in window.neg_indices]
     sgr.TruncatedFrame(window, 4, grid_mul(W.entries, square, 4)).require_even()
+
+
+# -- array_mul: both contractions, batch axes --------------------------------------
+
+# per-pair shapes (rows, inner, cols) on either side of the contraction threshold
+TINY_SHAPES = [(1, 1, 1), (2, 2, 1), (2, 2, 2), (3, 3, 3), (2, 4, 2), (4, 4, 4)]
+MATMUL_SHAPES = [(3, 5, 5), (5, 5, 5), (2, 6, 6), (1, 8, 9), (6, 6, 1)]
+EMPTY_SHAPES = [(0, 2, 2), (2, 0, 2), (2, 2, 0)]
+assert all(grassmann._pairs_innermost(*shape, _TINY_MIN_PAIRS) for shape in TINY_SHAPES)
+assert not any(grassmann._pairs_innermost(*shape, 3 ** 6) for shape in MATMUL_SHAPES)
+assert not grassmann._pairs_innermost(2, 2, 2, _TINY_MIN_PAIRS - 1)
+
+
+def _random_array(rng, n, shape, density):
+    """Coefficients (2^n, *shape), each slot nonzero with probability ``density``."""
+    D = rng.standard_normal((1 << n, *shape)) + 1j * rng.standard_normal((1 << n, *shape))
+    return np.where(rng.random(D.shape) < density, D, 0)
+
+
+def _elements(D, n):
+    """The entries of a (2^n, rows, cols) array as a grid of elements."""
+    rows, cols = D.shape[1:]
+    flat = array_elements(D.reshape(len(D), rows * cols), n)
+    return [flat[i * cols:(i + 1) * cols] for i in range(rows)]
+
+
+def _batch_entry(X, full, index):
+    """The matrix at batch position ``index`` of X broadcast to the batch shape ``full``."""
+    X = X.reshape(len(X), *[1] * (len(full) + 3 - X.ndim), *X.shape[1:])
+    return np.broadcast_to(X, (len(X), *full, *X.shape[-2:]))[(slice(None), *index)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 6), shape=st.sampled_from(TINY_SHAPES + MATMUL_SHAPES + EMPTY_SHAPES),
+       batch=st.sampled_from([((), ()), ((2,), (2,)), ((2, 1), (1, 3)), ((2, 3), ()),
+                              ((), (3,)), ((0,), (0,))]),
+       density=st.sampled_from([0.0, 0.15, 1.0]), route=st.sampled_from([None, True, False]),
+       seed=st.integers(0, 2**32 - 1))
+def test_array_mul_matches_entrywise_products(n, shape, batch, density, route, seed):
+    # route: the contraction array_mul picks (None) or one forced on it;
+    # density 0 gives exact zeros everywhere: the product must be exactly zero
+    rng = np.random.default_rng(seed)
+    rows, inner, cols = shape
+    if n == 6 and density == 1.0:
+        density = 0.15  # keep the entrywise reference fast
+    A = _random_array(rng, n, (*batch[0], rows, inner), density)
+    B = _random_array(rng, n, (*batch[1], inner, cols), density)
+    with pytest.MonkeyPatch.context() as mp:
+        if route is not None:
+            mp.setattr(grassmann, "_pairs_innermost", lambda *args: route)
+        C = array_mul(A, B, n)
+    full = np.broadcast_shapes(batch[0], batch[1])
+    assert C.shape == (1 << n, *full, rows, cols)
+    for index in np.ndindex(*full):
+        a, b = (_batch_entry(X, full, index) for X in (A, B))
+        got = _elements(C[(slice(None), *index)], n)
+        ga, gb = _elements(a, n), _elements(b, n)
+        want = [[sum((ga[i][r] * gb[r][j] for r in range(inner)), GrassmannScalar.zero(n))
+                 for j in range(cols)] for i in range(rows)]
+        _assert_grids_close(got, want)
+        if density == 0.0:
+            assert all(not e.terms for row in got for e in row)
+
+
+@pytest.mark.parametrize("shape", TINY_SHAPES[1:] + MATMUL_SHAPES[:2])
+def test_array_mul_contractions_agree(rng, monkeypatch, shape):
+    # the same product through the other contraction, at n = 4 with full operands
+    n = 4
+    rows, inner, cols = shape
+    A = _random_array(rng, n, (3, rows, inner), 1.0)
+    B = _random_array(rng, n, (inner, cols), 1.0)
+    C = array_mul(A, B, n)
+    tiny = grassmann._pairs_innermost(*shape, 3 ** n)
+    monkeypatch.setattr(grassmann, "_pairs_innermost", lambda *args: not tiny)
+    assert np.abs(array_mul(A, B, n) - C).max() <= 1e-12 * np.abs(C).max()
+
+
+def test_array_mul_tiny_path_stays_under_the_budget_at_the_generator_cap(rng, monkeypatch):
+    # full operands at n = 12: all 3^12 pairs are kept, far more than one chunk
+    # holds; the allocations of each chunk's products are measured from a reset peak
+    n = MAX_GENERATORS
+    A = _random_array(rng, n, (2, 2), 1.0)
+    B = _random_array(rng, n, (2, 2), 1.0)
+    peaks = []
+    original = grassmann._pairs_last
+
+    def measured(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        prod = original(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return prod
+
+    monkeypatch.setattr(grassmann, "_pairs_last", measured)
+    tracemalloc.start()
+    try:
+        C = array_mul(A, B, n)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) > 100
+    # the gathered operands, the product, a multiply-add buffer and numpy's
+    # buffers for the two broadcast operands, as array_mul counts them, plus
+    # the array objects themselves
+    assert max(peaks) <= 16 * _KERNEL_BUDGET + 4096
+    monkeypatch.setattr(grassmann, "_pairs_innermost", lambda *args: False)  # matmul
+    assert np.abs(array_mul(A, B, n) - C).max() <= 1e-12 * np.abs(C).max()

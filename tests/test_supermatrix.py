@@ -530,3 +530,170 @@ def test_frame_parity_check_and_storage_match_the_entries(case):
         with pytest.raises(ParityError):
             frame.require_even()
     assert frame.entries == grid
+
+
+# -- Cramer per parity class ------------------------------------------------------------
+
+
+def _ill_conditioned_minor_system(seed):
+    """A (3|3) system at n = 4 whose minor A^{00} has a body of condition 1e3,
+    while A and the minors A^{01}, A^{02} are well conditioned."""
+    n = 4
+    rng = np.random.default_rng(seed)
+    A = random_even_matrix(rng, (3, 3), n)
+    U, _, Vh = np.linalg.svd(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    D = A.array.copy()
+    D[0, 1:3, 1:3] = U @ np.diag([1.0, 1e-3]) @ Vh
+    return SuperLinearSystem(SuperMatrix._of((3, 3), (3, 3), n, D), random_vector(rng, 6, n))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_cramer_takes_the_best_conditioned_column(seed):
+    # the first admissible column of row 0 has a minor of condition 1e3, and
+    # Cramer through it missed the oracle by up to 1e-7
+    system = _ill_conditioned_minor_system(seed)
+    body = system.matrix.body()
+    assert 0.9e3 < np.linalg.cond(body[1:3, 1:3]) < 1.1e3
+    assert np.linalg.cond(body) < 1e2
+    xc = solve_cramer(system)
+    xo = oracle_solve(system)
+    assert max((a - b).norm_inf() for a, b in zip(xc, xo)) < 1e-9
+    y0 = ber_substituted(system.matrix, 0, system.rhs)
+    assert (y0 - ber_substituted(system.matrix, 0, system.rhs, j=1)).norm_inf() < 1e-9
+
+
+def test_substitution_without_admissible_column_raises():
+    # row 0 of the identity substitutes only at column 0; pinning j = 1 leaves a singular minor
+    A = SuperMatrix.identity((2, 1), 4)
+    y = [GrassmannScalar.one(4)] * 3
+    with pytest.raises(NotInvertibleError, match="no admissible column"):
+        ber_substituted(A, 0, y, j=1)
+    assert (ber_substituted(A, 0, y) - GrassmannScalar.one(4)).norm_inf() < 1e-15
+
+
+def test_berezinian_runs_no_element_arithmetic(rng, monkeypatch):
+    # the Berezinians, det_even and Cramer end in one exponential of a coefficient
+    # vector: no GrassmannScalar exp, inverse or product runs inside them
+    n = 4
+    A = random_even_matrix(rng, (2, 2), n)
+    y = random_vector(rng, 4, n)
+    X = A.blocks()[0]
+    want = (berezinian(A), berezinian_star(A), det_even(X), solve_cramer(SuperLinearSystem(A, y)))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("element arithmetic inside a Berezinian")
+
+    for name in ("exp", "invert", "__mul__", "__rmul__", "__truediv__"):
+        monkeypatch.setattr(GrassmannScalar, name, forbidden)
+    got = (berezinian(A), berezinian_star(A), det_even(X), solve_cramer(SuperLinearSystem(A, y)))
+    assert got[:3] == want[:3]
+    assert all(a == b for a, b in zip(got[3], want[3]))
+
+
+# -- the oracle's multiplication operators ------------------------------------------------
+
+
+def _loop_operator(a, left):
+    """x -> a*x (left) or x -> x*a from merge signs, one monomial pair at a time."""
+    from supercurves.grassmann import sign_of_merge
+
+    dim = 1 << a.n
+    M = np.zeros((dim, dim), dtype=complex)
+    for t, v in a.terms.items():
+        for s in range(dim):
+            if s & t:
+                continue
+            M[s | t, s] += (sign_of_merge(t, s) if left else sign_of_merge(s, t)) * v
+    return M
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_mult_operators_match_the_merge_sign_loop(rng, n):
+    from supercurves.grassmann import random_element
+    from supercurves.supermatrix import left_mult_operator, right_mult_operator
+
+    for parity in (None, 0, 1):
+        a = random_element(rng, n, parity=parity)
+        assert np.array_equal(left_mult_operator(a), _loop_operator(a, True))
+        assert np.array_equal(right_mult_operator(a), _loop_operator(a, False))
+    zero = GrassmannScalar.zero(n)
+    assert not left_mult_operator(zero).any() and not right_mult_operator(zero).any()
+
+
+def test_oracle_is_independent_of_the_lambda_products(rng, monkeypatch):
+    from supercurves import grassmann, supermatrix
+
+    n = 4
+    A = random_even_matrix(rng, (2, 1), n)
+    y = random_vector(rng, 3, n)
+    xc = solve_cramer(SuperLinearSystem(A, y))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the oracle reached the Lambda product code")
+
+    monkeypatch.setattr(grassmann, "array_mul", forbidden)
+    monkeypatch.setattr(supermatrix, "array_mul", forbidden)
+    monkeypatch.setattr(grassmann, "_pair_table", forbidden)
+    monkeypatch.setattr(GrassmannScalar, "__mul__", forbidden)
+    xo = oracle_solve(SuperLinearSystem(A, y))
+    assert max((a - b).norm_inf() for a, b in zip(xc, xo)) < 1e-9
+
+
+# -- properties: Gelfand-Retakh and the log-domain determinants ------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 3), (0, 2), (2, 0)]),
+       n=st.sampled_from([2, 4]))
+def test_gelfand_retakh_quasidet_times_inverse_entry_is_one(seed, shape, n):
+    # |A|_ij (A^-1)_ji = 1 for i, j in the same parity class
+    A = random_even_matrix(np.random.default_rng(seed), shape, n)
+    B = invert_matrix(A).entries
+    one = GrassmannScalar.one(n)
+    k, m = shape[0], sum(shape)
+    for i in range(m):
+        for j in range(m):
+            if (i < k) != (j < k):
+                continue
+            q = quasideterminant(A, i, j)
+            scale = max(1.0, q.norm_inf() * B[j][i].norm_inf())
+            assert (q * B[j][i] - one).norm_inf() <= 1e-9 * scale
+
+
+def _element_det(M, n):
+    """det(body) exp(tr log(1 + body^-1 soul)) of a square grid of even elements,
+    with GrassmannScalar products, exp and nothing from the array code."""
+    m = len(M)
+    body = np.array([[e.body for e in row] for row in M], dtype=complex).reshape(m, m)
+    binv = np.linalg.inv(body)
+    N = [[sum((M[p][c].soul() * complex(binv[r, p]) for p in range(m)), GrassmannScalar.zero(n))
+          for c in range(m)] for r in range(m)]
+    log = GrassmannScalar.zero(n)
+    power = N
+    for r in range(1, n + 1):
+        trace = sum((power[i][i] for i in range(m)), GrassmannScalar.zero(n))
+        log = log + trace * ((-1.0) ** (r + 1) / r)
+        power = [[sum((power[i][p] * N[p][c] for p in range(m)), GrassmannScalar.zero(n))
+                  for c in range(m)] for i in range(m)]
+    return log.exp() * complex(np.linalg.det(body))
+
+
+def _element_ber(A, star, det):
+    """ber (ber* when star) as det(S) det(P)^-1, the inverse by GrassmannScalar.invert."""
+    X, alpha, beta, Y = A.blocks()
+    K, a, P, b = (Y, beta, X, alpha) if star else (X, alpha, Y, beta)
+    S = K - a @ invert_matrix(P) @ b
+    return det(S.entries, A.n) * det(P.entries, A.n).invert()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_log_domain_determinants_match_the_element_routes(rng, shape):
+    n = 6
+    A = random_even_matrix(rng, shape, n)
+    X = A.blocks()[0]
+    for det in (_element_det, det_even_laplace):
+        for got, want in ((berezinian(A), _element_ber(A, False, det)),
+                          (berezinian_star(A), _element_ber(A, True, det)),
+                          (det_even(X), det(X.entries, n))):
+            assert (got - want).norm_inf() <= 1e-12 * want.norm_inf()
