@@ -239,17 +239,17 @@ def criterion_6(seed: int = 0) -> dict:
             Q = jac.connecting_map(pd)
             Q2 = jac.connecting_map(pd, via_full_matrix=True)
             ok &= Q.isclose(Q2, 0.0)
-            Qe = Q.entries
+            Qe, Ze, Zo = Q.entries, pd.Z_e, pd.Z_o  # grids built once, read entrywise
             for a in range(g - 1):
                 for b in range(g - 1):
                     ok &= Qe[a][b].is_zero()
             for a in range(g - 1):
                 for j in range(g):
-                    ok &= (Qe[a][g - 1 + j] - pd.Z_o[j][a]).is_zero()
-                    ok &= (Qe[g - 1 + j][a] + pd.Z_o[j][a]).is_zero()
+                    ok &= (Qe[a][g - 1 + j] - Zo[j][a]).is_zero()
+                    ok &= (Qe[g - 1 + j][a] + Zo[j][a]).is_zero()
             for i in range(g):
                 for j in range(g):
-                    want = pd.Z_e[j][i] - pd.Z_e[i][j]
+                    want = Ze[j][i] - Ze[i][j]
                     ok &= (Qe[g - 1 + i][g - 1 + j] - want).is_zero()
             flags = jac.projectedness_flags(pd)
             ok &= flags["projected"] == (symmetric and zo_zero)

@@ -14,7 +14,6 @@ from typing import Any
 
 import numpy as np
 
-from . import acceptance
 from . import elliptic as ell
 from . import jacobian as jac
 from . import sgr
@@ -226,6 +225,8 @@ def cmd_tau_elliptic(args) -> None:
 
 
 def cmd_acceptance(args) -> None:
+    from . import acceptance  # imported here: no other subcommand pays for compiling it
+
     # the explicit flag wins over the config file, which wins over seed 0
     seed = args.seed if args.seed is not None else int(_CONFIG.get("seed", 0))
     summary = acceptance.run_all(seed=seed, echo=True)

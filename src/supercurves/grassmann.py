@@ -10,19 +10,23 @@ Products of two elements stay sparse: ``GrassmannScalar.__mul__`` pairs the
 nonzero terms.  Matrices over Lambda are held as complex arrays of shape
 (2^n, rows, cols), slot [m, i, j] holding the coefficient of monomial m in
 entry (i, j), with optional batch axes between the monomial axis and the
-matrix axes; ``SuperMatrix`` and the window operators and frames of ``sgr``
-store nothing else.  ``array_mul`` multiplies two such arrays through a table
-of the 3^n disjoint mask pairs, by one of two contractions: a batched
-``matmul`` over the pairs for the large matrices of ``sgr``, and vector
-multiply-adds with the pairs innermost for the 1 x 1 to 4 x 4 blocks of the
-Berezinians, where one BLAS call per pair costs more than its arithmetic.
-``parity_violations`` checks the parity rule of a whole array at once.
-Grids, lists of rows of elements, are the edge: ``grid_array`` expands one
-into an array and ``array_grid`` reads an array back; ``grid_mul`` is these
-three steps, for the callers (period matrices, theta) that keep grids.
+matrix axes.  ``SuperMatrix``, the window operators, frames and flow symbols
+of ``sgr`` and the period blocks of ``jacobian`` store nothing else, and
+every product of two Lambda-matrices is ``array_mul``: it multiplies two
+such arrays through a table of the 3^n disjoint mask pairs, by one of two
+contractions, a batched ``matmul`` over the pairs for the large matrices of
+``sgr``, and vector multiply-adds with the pairs innermost for the 1 x 1 to
+4 x 4 blocks of the Berezinians, where one BLAS call per pair costs more
+than its arithmetic.  ``parity_violations`` checks the parity rule of a
+whole array at once.  Grids, lists of rows of elements, appear only at the
+edge: in the public constructors, which convert them once with
+``grid_array``, in the ``entries`` (and ``Z_e``/``Z_o``) reads, which
+``array_grid`` builds from the array, and in the JSON forms.  ``theta``
+reads its grids of souls and odd periods entry by entry and multiplies no
+Lambda-matrices; ``elliptic`` builds its Baker matrix as a ``SuperMatrix``.
 
 The number of generators is configuration (the underlying theory never fixes
-it) and is capped at 12, the largest n at which a grid product was measured:
+it) and is capped at 12, the largest n at which a matrix product was measured:
 a (3|3) product of full even matrices at n = 12 takes about 0.7 s, and its
 pair table holds 531441 pairs (17 MB).  At n = 16 the table alone would hold
 43 M.
@@ -409,18 +413,9 @@ def random_element(rng, n: int, parity: int | None = None, scale: float = 1.0,
     return GrassmannScalar(n, terms)
 
 
-# -- grids: matrices over Lambda as lists of rows ------------------------------------
+# -- matrices over Lambda: (2^n, rows, cols) arrays, grids at the edge ---------------
 
 Grid = List[List[GrassmannScalar]]
-
-
-def grid_zeros(rows: int, cols: int, n: int) -> Grid:
-    """A rows x cols grid whose slots all hold one shared zero.
-
-    Sharing is safe because grid entries are replaced, never mutated.
-    """
-    zero = GrassmannScalar.zero(n)
-    return [[zero] * cols for _ in range(rows)]
 
 
 # the disjoint mask pairs and their merge signs, built lazily per generator count
@@ -619,27 +614,3 @@ def _pairs_last(A: np.ndarray, B: np.ndarray, a, b, sign) -> np.ndarray:
         prod += np.multiply(Ag[..., :, r, None, :], Bg[..., None, r, :, :], out=tmp)
     prod *= sign
     return prod
-
-
-def grid_mul(A: Sequence[Sequence], B: Sequence[Sequence], n: int) -> Grid:
-    """The grid product A B, keeping the left/right order of every entry product.
-
-    Either operand may be a grid of plain complex numbers, which are central.
-    A numpy matrix works too, but pass it as ``.tolist()``: iterating the
-    array yields numpy scalars one at a time.  The output width is read from
-    B's first row, so B must have at least one row unless A has none.
-
-    The product is dense: both grids become arrays over the 2^n monomials,
-    ``array_mul`` multiplies them, and the result is read back into elements.
-    """
-    if any(len(row) != len(B) for row in A):
-        raise DimensionError("inner dimension mismatch")
-    rows, inner, cols = len(A), len(B), len(B[0]) if B else 0
-    if not (rows and inner and cols):
-        return grid_zeros(rows, cols, n)
-    return array_grid(array_mul(grid_array(A, inner, n), grid_array(B, cols, n), n), n)
-
-
-def grid_body(G: Sequence[Sequence[GrassmannScalar]], cols: int) -> np.ndarray:
-    """The complex matrix of the bodies of a grid with ``cols`` columns."""
-    return np.array([[e.body for e in row] for row in G], dtype=complex).reshape(len(G), cols)

@@ -10,6 +10,15 @@ cohomology of the dual curve from kernels/cokernels of Z_o over the monomial
 expansion, the Riemann bilinear identity, the pair relation
 (Z_e - Z_e^t) a + Z_o A = 0, projectedness flags, super Riemann-Roch
 bookkeeping, and the Jacobian lattice generators.
+
+``PeriodData`` holds Z_e and Z_o as (2^n, rows, cols) arrays, the layout of
+``grassmann.grid_array``, and nothing else; its grid-valued ``Z_e`` and
+``Z_o`` are built from them on each read.  Q is slices and transposes of the
+two arrays, or two ``array_mul`` products of the Pi and I arrays on the
+literal route; the monomial expansions of the cohomology and the pair
+construction are one gather each (``supermatrix.expand_left_map``), and
+period vectors meet the blocks in one ``array_mul``.  Transposes here are
+plain: entry (i, j) moves to (j, i) unchanged.
 """
 
 from __future__ import annotations
@@ -20,62 +29,54 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParityError
-from .grassmann import Grid, GrassmannScalar, as_grassmann, grid_body, grid_mul, grid_zeros
-from .supermatrix import SuperMatrix, left_mult_operator
+from .grassmann import (Grid, GrassmannScalar, array_elements, array_grid, array_mul, as_grassmann,
+                        grid_array, parity_violations)
+from .supermatrix import SuperMatrix, expand_left_map, expand_vector
 
 
-def _coerce_grid(rows: int, cols: int, data, n: int) -> Grid:
-    if len(data) != rows or any(len(r) != cols for r in data):
-        raise DimensionError(f"grid must be {rows}x{cols}")
-    return [[as_grassmann(e, n) for e in row] for row in data]
+def _column(v: Sequence, n: int) -> np.ndarray:
+    """The elements (or numbers) of v as a (2^n, len(v), 1) column."""
+    return expand_vector([as_grassmann(x, n) for x in v], n).reshape(len(v), 1 << n).T[:, :, None]
 
 
-def _transpose(G: Grid) -> Grid:
-    return [list(col) for col in zip(*G)]
-
-
-def _apply(M: Grid, v: Sequence[GrassmannScalar], n: int) -> List[GrassmannScalar]:
-    """The column vector M v."""
-    return [row[0] for row in grid_mul(M, [[x] for x in v], n)]
-
-
-def _antisymmetric_part(pd: "PeriodData") -> Grid:
-    """Z_e - Z_e^t."""
-    return [[a - b for a, b in zip(row, col)] for row, col in zip(pd.Z_e, zip(*pd.Z_e))]
-
-
-@dataclass
 class PeriodData:
-    """Normalized period matrix blocks of a generic SKP curve."""
+    """Normalized period matrix blocks of a generic SKP curve.
 
-    g: int
-    Z_e: Grid
-    Z_o: Grid
-    n: int
+    The constructor takes grids (entries may be plain numbers) and keeps the
+    arrays ``ze`` (2^n, g, g) and ``zo`` (2^n, g, g - 1) alone.
+    """
 
-    def __post_init__(self):
-        g = self.g
+    def __init__(self, g: int, Z_e: Grid, Z_o: Grid, n: int):
         if g < 1:
             raise DimensionError("genus must be positive")
-        self.Z_e = _coerce_grid(g, g, self.Z_e, self.n)
-        self.Z_o = _coerce_grid(g, max(g - 1, 0), self.Z_o, self.n)
-        for row in self.Z_e:
-            for e in row:
-                if e.terms and e.parity() != 0:
-                    raise ParityError("Z_e entries must be even")
-        for row in self.Z_o:
-            for e in row:
-                if e.terms and (e.parity() != 1 or e.body != 0):
-                    raise ParityError("Z_o entries must be odd (zero body)")
-        im = grid_body(self.Z_e, g).imag
-        if g and float(np.linalg.eigvalsh((im + im.T) / 2.0).min()) <= 0:
+        for data, cols in ((Z_e, g), (Z_o, g - 1)):
+            if len(data) != g or any(len(r) != cols for r in data):
+                raise DimensionError(f"grid must be {g}x{cols}")
+        self.g, self.n = g, n
+        self.ze, self.zo = grid_array(Z_e, g, n), grid_array(Z_o, g - 1, n)
+        if parity_violations(self.ze, [0] * g, [0] * g).any():
+            raise ParityError("Z_e entries must be even")
+        if parity_violations(self.zo, [1] * g, [0] * (g - 1)).any():  # odd: no body either
+            raise ParityError("Z_o entries must be odd (zero body)")
+        im = self.ze[0].imag
+        if float(np.linalg.eigvalsh((im + im.T) / 2.0).min()) <= 0:
             raise DomainError("Im reduce(Z_e) is not positive definite")
 
-    def reduced(self) -> np.ndarray:
-        return grid_body(self.Z_e, self.g)
+    @property
+    def Z_e(self) -> Grid:
+        return array_grid(self.ze, self.n)
 
-    def Z_o_transposed(self) -> Grid:
-        return _transpose(self.Z_o)
+    @property
+    def Z_o(self) -> Grid:
+        return array_grid(self.zo, self.n)
+
+    def reduced(self) -> np.ndarray:
+        return self.ze[0].copy()
+
+
+def _antisymmetric_part(pd: PeriodData) -> np.ndarray:
+    """Z_e - Z_e^t as an array."""
+    return pd.ze - pd.ze.swapaxes(1, 2)
 
 
 @dataclass
@@ -98,29 +99,28 @@ class DualPeriodVector:
         for v in a:
             if v.terms and v.parity() != 1:
                 raise ParityError("dual a-periods must be odd")
-        if any(v.norm_inf() > tol for v in _apply(pd.Z_o_transposed(), a, n)):
+        col = _column(a, n)
+        if np.abs(array_mul(pd.zo.swapaxes(1, 2), col, n)).max(initial=0.0) > tol:
             raise DomainError("a-periods do not lie in Ker(Z_o^t)")
-        return cls(a=a, b=_apply(_transpose(pd.Z_e), a, n))
+        return cls(a=a, b=array_elements(array_mul(pd.ze.swapaxes(1, 2), col, n)[:, :, 0], n))
 
 
-def full_period_matrix(pd: PeriodData) -> Grid:
-    """Pi = [[0, 1_g], [Z_o, Z_e]], rows (a-periods | b-periods)."""
-    g, n = pd.g, pd.n
-    zero = GrassmannScalar.zero(n)
-    one = GrassmannScalar.one(n)
-    top = [[zero] * (g - 1) + [one if i == j else zero for j in range(g)] for i in range(g)]
-    bot = [list(pd.Z_o[i]) + list(pd.Z_e[i]) for i in range(g)]
-    return top + bot
+def full_period_matrix(pd: PeriodData) -> np.ndarray:
+    """Pi = [[0, 1_g], [Z_o, Z_e]], rows (a-periods | b-periods), as a (2^n, 2g, 2g - 1) array."""
+    g = pd.g
+    Pi = np.zeros((1 << pd.n, 2 * g, 2 * g - 1), dtype=complex)
+    Pi[0, :g, g - 1:] = np.eye(g)
+    Pi[:, g:, :g - 1] = pd.zo
+    Pi[:, g:, g - 1:] = pd.ze
+    return Pi
 
 
-def intersection_form(g: int, n: int) -> Grid:
-    """I = [[0, -1_g], [1_g, 0]] on the symplectic homology basis."""
-    one = GrassmannScalar.one(n)
-    M = grid_zeros(2 * g, 2 * g, n)
-    for i in range(g):
-        M[i][g + i] = -one
-        M[g + i][i] = one
-    return M
+def intersection_form(g: int, n: int) -> np.ndarray:
+    """I = [[0, -1_g], [1_g, 0]] on the symplectic homology basis, as a (2^n, 2g, 2g) array."""
+    I = np.zeros((1 << n, 2 * g, 2 * g), dtype=complex)
+    I[0, :g, g:] = -np.eye(g)
+    I[0, g:, :g] = np.eye(g)
+    return I
 
 
 def connecting_map(pd: PeriodData, via_full_matrix: bool = False) -> SuperMatrix:
@@ -130,49 +130,22 @@ def connecting_map(pd: PeriodData, via_full_matrix: bool = False) -> SuperMatrix
     block formula; the two agree exactly.
     """
     g, n = pd.g, pd.n
-    m = 2 * g - 1
     if via_full_matrix:
         Pi = full_period_matrix(pd)
-        I = intersection_form(g, n)
-        Q = grid_mul(grid_mul(_transpose(Pi), I, n), Pi, n)
+        Q = array_mul(array_mul(Pi.swapaxes(1, 2), intersection_form(g, n), n), Pi, n)
     else:
-        Q = grid_zeros(m, m, n)
-        for a in range(g - 1):
-            for j in range(g):
-                Q[a][g - 1 + j] = pd.Z_o[j][a]          # Z_o^t block
-                Q[g - 1 + j][a] = -pd.Z_o[j][a]         # -Z_o block
-        for i in range(g):
-            for j in range(g):
-                Q[g - 1 + i][g - 1 + j] = pd.Z_e[j][i] - pd.Z_e[i][j]
-    return SuperMatrix((g - 1, g), (g - 1, g), Q)
+        Q = np.zeros((1 << n, 2 * g - 1, 2 * g - 1), dtype=complex)
+        Q[:, :g - 1, g - 1:] = pd.zo.swapaxes(1, 2)
+        Q[:, g - 1:, :g - 1] = -pd.zo
+        Q[:, g - 1:, g - 1:] = pd.ze.swapaxes(1, 2) - pd.ze
+    return SuperMatrix._of((g - 1, g), (g - 1, g), n, Q)
 
 
 # -- cohomology of the dual curve -------------------------------------------------
 
 
-def expand_left_map(M: Grid, n: int) -> np.ndarray:
-    """C-expansion of x -> M x over the 2^n monomial basis of each slot."""
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    dim = 1 << n
-    big = np.zeros((rows * dim, cols * dim), dtype=complex)
-    for i in range(rows):
-        for j in range(cols):
-            e = M[i][j]
-            if e.terms:
-                big[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = left_mult_operator(e)
-    return big
-
-
 def _parity_mask_indices(n: int, parity: int) -> np.ndarray:
     return np.array([m for m in range(1 << n) if (m.bit_count() & 1) == parity], dtype=int)
-
-
-def _restrict_columns(big: np.ndarray, cols: int, n: int, parity: int) -> np.ndarray:
-    dim = 1 << n
-    idx = _parity_mask_indices(n, parity)
-    sel = np.concatenate([idx + c * dim for c in range(cols)]) if cols else np.array([], dtype=int)
-    return big[:, sel]
 
 
 def _rank(M: np.ndarray) -> int:
@@ -210,24 +183,21 @@ def dual_cohomology(pd: PeriodData) -> DualCohomologyReport:
 
     A module is reported free when its C-dimension equals 2^n times the split
     (reduced) dimension, which is what freeness amounts to for these modules.
+    At g = 1, Z_o has no columns and both expansions are empty.
     """
     g, n = pd.g, pd.n
     dim = 1 << n
-    big = expand_left_map(pd.Z_o, n) if g > 1 else np.zeros((g * dim, 0))
+    big = expand_left_map(pd.zo, n)
     rank = _rank(big)
     cols = g - 1
     dim_ker = cols * dim - rank
     dim_coker = g * dim - rank
 
-    big_t = expand_left_map(pd.Z_o_transposed(), n) if g > 1 else np.zeros((0, g * dim))
-    if g == 1:
-        big_t = np.zeros((0, g * dim))
-    rank_t = _rank(big_t)
+    rank_t = _rank(expand_left_map(pd.zo.swapaxes(1, 2), n))
     dim_ker_t = g * dim - rank_t
     dim_coker_t = cols * dim - rank_t
 
-    odd = _restrict_columns(big, cols, n, parity=1)
-    rank_odd = _rank(odd)
+    rank_odd = _rank(big[:, (np.arange(cols)[:, None] * dim + _parity_mask_indices(n, 1)).ravel()])
     dim_domain_odd = cols * (dim // 2) if n > 0 else 0
     dim_ker_odd = dim_domain_odd - rank_odd
 
@@ -277,10 +247,10 @@ def pair_relation_check(pd: PeriodData, a_omega: Sequence[GrassmannScalar],
                         A_vec: Sequence[GrassmannScalar]) -> List[GrassmannScalar]:
     """(Z_e - Z_e^t) a + Z_o A, zero iff the pair extends to a global section."""
     g, n = pd.g, pd.n
-    if len(a_omega) != g or len(A_vec) != max(g - 1, 0):
+    if len(a_omega) != g or len(A_vec) != g - 1:
         raise DimensionError("period vector lengths do not match the genus")
-    left = [anti + zo for anti, zo in zip(_antisymmetric_part(pd), pd.Z_o)]
-    return _apply(left, [as_grassmann(v, n) for v in (*a_omega, *A_vec)], n)
+    left = np.concatenate([_antisymmetric_part(pd), pd.zo], axis=2)
+    return array_elements(array_mul(left, _column([*a_omega, *A_vec], n), n)[:, :, 0], n)
 
 
 def construct_bilinear_pair(pd: PeriodData, rng=None):
@@ -292,20 +262,17 @@ def construct_bilinear_pair(pd: PeriodData, rng=None):
     """
     g, n = pd.g, pd.n
     dim = 1 << n
-    anti = _antisymmetric_part(pd)
-    top = np.concatenate([expand_left_map(anti, n), expand_left_map(pd.Z_o, n)], axis=1) \
-        if g > 1 else expand_left_map(anti, n)
-    bot_a = expand_left_map(pd.Z_o_transposed(), n) if g > 1 else np.zeros((0, g * dim))
-    bot = np.concatenate([bot_a, np.zeros((bot_a.shape[0], (g - 1) * dim))], axis=1)
-    system = np.concatenate([top, bot], axis=0)
+    system = np.zeros((1 << n, 2 * g - 1, 2 * g - 1), dtype=complex)
+    system[:, :g, :g] = _antisymmetric_part(pd)
+    system[:, :g, g:] = pd.zo
+    system[:, g:, :g] = pd.zo.swapaxes(1, 2)
 
-    # restrict: a-slots odd, A-slots even
+    # restrict: a-slots odd, A-slots even; at n = 0 the a-slots hold nothing
     odd = _parity_mask_indices(n, 1)
     even = _parity_mask_indices(n, 0)
-    sel = np.concatenate([np.concatenate([odd + c * dim for c in range(g)]),
-                          np.concatenate([even + (g + c) * dim for c in range(g - 1)])
-                          if g > 1 else np.array([], dtype=int)])
-    restricted = system[:, sel]
+    sel = np.concatenate([(np.arange(g)[:, None] * dim + odd).ravel(),
+                          (np.arange(g, 2 * g - 1)[:, None] * dim + even).ravel()])
+    restricted = expand_left_map(system, n)[:, sel]
     _, s, vh = np.linalg.svd(restricted)
     tol = max(restricted.shape) * (s[0] if s.size else 1.0) * 1e-12
     null = vh[np.sum(s > tol):].conj() if s.size else vh.conj()
@@ -316,25 +283,17 @@ def construct_bilinear_pair(pd: PeriodData, rng=None):
     else:
         w = rng.standard_normal(null.shape[0]) + 1j * rng.standard_normal(null.shape[0])
         vec = w @ null
-    half = dim // 2 if n > 0 else 1
-
-    def scatter(offset: int, count: int, masks) -> List[GrassmannScalar]:
-        out = []
-        for c in range(count):
-            terms = {}
-            for r, mask in enumerate(masks):
-                v = vec[offset + c * len(masks) + r]
-                if abs(v) > 1e-12:
-                    terms[int(mask)] = complex(v)
-            out.append(GrassmannScalar(n, terms))
-        return out
-
-    a = scatter(0, g, odd)
-    A = scatter(g * half, g - 1, even) if g > 1 else []
-    b = _apply([ze + zo for ze, zo in zip(pd.Z_e, pd.Z_o)], a + A, n)
-    a_hat = [-ai for ai in a]
-    b_hat = _apply(_transpose(pd.Z_e), a_hat, n)
-    return a, b, a_hat, b_hat, A
+    vec = np.where(np.abs(vec) > 1e-12, vec, 0)
+    coeffs = np.zeros((dim, 2 * g - 1), dtype=complex)  # column c holds slot c: a, then A
+    split = g * len(odd)
+    coeffs[odd[:, None], np.arange(g)] = vec[:split].reshape(g, len(odd)).T
+    coeffs[even[:, None], np.arange(g, 2 * g - 1)] = vec[split:].reshape(g - 1, len(even)).T
+    b = array_mul(np.concatenate([pd.ze, pd.zo], axis=2), coeffs[:, :, None], n)
+    a_hat = -coeffs[:, :g, None]
+    b_hat = array_mul(pd.ze.swapaxes(1, 2), a_hat, n)
+    a, A = array_elements(coeffs[:, :g], n), array_elements(coeffs[:, g:], n)
+    return a, array_elements(b[:, :, 0], n), array_elements(a_hat[:, :, 0], n), \
+        array_elements(b_hat[:, :, 0], n), A
 
 
 # -- flags and bookkeeping --------------------------------------------------------------
@@ -342,10 +301,8 @@ def construct_bilinear_pair(pd: PeriodData, rng=None):
 
 def projectedness_flags(pd: PeriodData, tol: float = 0.0) -> Dict[str, bool]:
     """Z_e symmetric and Z_o = 0 iff the curve is projected."""
-    g = pd.g
-    ze_sym = all((pd.Z_e[i][j] - pd.Z_e[j][i]).norm_inf() <= tol
-                 for i in range(g) for j in range(g))
-    zo_zero = all(e.norm_inf() <= tol for row in pd.Z_o for e in row)
+    ze_sym = bool(np.abs(_antisymmetric_part(pd)).max() <= tol)
+    zo_zero = bool(np.abs(pd.zo).max(initial=0.0) <= tol)
     return {"Ze_symmetric": ze_sym, "Zo_zero": zo_zero, "projected": ze_sym and zo_zero}
 
 
@@ -382,6 +339,6 @@ def lattice_generators(pd: PeriodData) -> List[LatticeTranslation]:
     for i in range(g):
         gens.append(LatticeTranslation([one if j == i else zero for j in range(g)],
                                        [zero] * (g - 1)))
-    for i in range(g):
-        gens.append(LatticeTranslation(list(pd.Z_e[i]), list(pd.Z_o[i])))
+    for ze_row, zo_row in zip(pd.Z_e, pd.Z_o):
+        gens.append(LatticeTranslation(ze_row, zo_row))
     return gens

@@ -399,9 +399,11 @@ def _log_ber(D: np.ndarray, k: int, star: bool, n: int):
             _logdet(kbody, spowers, n) - _logdet(pbody, ppowers, n))
 
 
-def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
-    """ber or ber* of a square even matrix through ``_log_ber``, ending in one exponential.
+def log_berezinian(A: SuperMatrix, star: bool = False) -> Tuple[complex, np.ndarray]:
+    """ber(A) (ber*(A) when star) of a square even matrix as (scale, L), the value scale exp(L).
 
+    L is the nilpotent coefficient vector of ``_log_ber``, so a quotient of
+    Berezinians is one exponential of a difference (see ``exp_element``).
     A's body is diag(body X, body Y).  The one body test is the whole-matrix
     test of ``invert_matrix``, made before any Lambda product, so a singular
     matrix raises at once.
@@ -410,18 +412,22 @@ def _schur_ber(A: SuperMatrix, star: bool) -> GrassmannScalar:
         raise DimensionError("Berezinian of a non-square supermatrix")
     A.require_even()
     _require_invertible_body(A.array[0], "matrix body")
-    scale, L = _log_ber(A.array, A.row_shape[0], star, A.n)
-    return _element(scale * _exp(L, A.n), A.n)
+    return _log_ber(A.array, A.row_shape[0], star, A.n)
+
+
+def exp_element(scale: complex, L: np.ndarray, n: int) -> GrassmannScalar:
+    """The element scale exp(L) for a bodiless even coefficient vector L."""
+    return _element(scale * _exp(L, n), n)
 
 
 def berezinian(A: SuperMatrix) -> GrassmannScalar:
     """ber(A) = det(X - alpha Y^-1 beta) det(Y)^-1 for square even A."""
-    return _schur_ber(A, star=False)
+    return exp_element(*log_berezinian(A), A.n)
 
 
 def berezinian_star(A: SuperMatrix) -> GrassmannScalar:
     """ber*(A) = det(X)^-1 det(Y - beta X^-1 alpha); equals ber(A)^-1."""
-    return _schur_ber(A, star=True)
+    return exp_element(*log_berezinian(A, star=True), A.n)
 
 
 def invert_matrix(A: SuperMatrix) -> SuperMatrix:
@@ -644,50 +650,45 @@ def _oracle_table(n: int) -> tuple:
     return table
 
 
-def _mult_operator(a: GrassmannScalar, left: bool) -> np.ndarray:
-    """Matrix of x -> a*x (left) or x -> x*a on the 2^n monomial basis.
+def _expansion(D: np.ndarray, n: int, left: bool) -> np.ndarray:
+    """The C-expansion of a (2^n, rows, cols) array, (rows 2^n, cols 2^n).
 
-    Column s, row u holds the merge sign times a[u ^ s] wherever s lies in u:
-    one gather through ``_oracle_table``.
+    Block (i, j) is the matrix of x -> D_ij x (left) or x -> x D_ij on the
+    2^n monomial basis: column s, row u holds the merge sign times
+    D_ij[u ^ s] wherever s lies in u.  One gather through ``_oracle_table``.
     """
-    u, s, t, lsign, rsign = _oracle_table(a.n)
-    M = np.zeros((1 << a.n, 1 << a.n), dtype=complex)
-    M[u, s] = (lsign if left else rsign) * a.coeffs()[t]
-    return M
+    u, s, t, lsign, rsign = _oracle_table(n)
+    rows, cols = D.shape[1:]
+    big = np.zeros((rows, 1 << n, cols, 1 << n), dtype=complex)
+    big[:, u, :, s] = (lsign if left else rsign)[:, None, None] * D[t]
+    return big.reshape(rows << n, cols << n)
 
 
 def right_mult_operator(a: GrassmannScalar) -> np.ndarray:
     """Matrix of x -> x*a on the 2^n monomial basis (column index = mask of x)."""
-    return _mult_operator(a, left=False)
+    return _expansion(a.coeffs()[:, None, None], a.n, left=False)
 
 
 def left_mult_operator(a: GrassmannScalar) -> np.ndarray:
     """Matrix of x -> a*x on the 2^n monomial basis."""
-    return _mult_operator(a, left=True)
+    return _expansion(a.coeffs()[:, None, None], a.n, left=True)
+
+
+def expand_left_map(D: np.ndarray, n: int) -> np.ndarray:
+    """C-expansion of x -> M x for the matrix M held as the (2^n, rows, cols) array D."""
+    return _expansion(D, n, left=True)
 
 
 def expand_vector(vs: Sequence[GrassmannScalar], n: int) -> np.ndarray:
-    dim = 1 << n
-    out = np.zeros(len(vs) * dim, dtype=complex)
-    for i, v in enumerate(vs):
-        for m, c in v.terms.items():
-            out[i * dim + m] = c
-    return out
+    """The coefficients of the elements, one block of 2^n per element."""
+    return np.array([v.coeffs() for v in vs], dtype=complex).reshape(len(vs) << n)
 
 
 def assemble_vector(flat: np.ndarray, count: int, n: int) -> List[GrassmannScalar]:
     """Read count elements off a flat solution, dropping what is below 1e-12 of its largest entry."""
-    dim = 1 << n
-    cutoff = 1e-12 * float(np.abs(flat).max(initial=0.0))
-    out = []
-    for i in range(count):
-        terms = {}
-        for m in range(dim):
-            c = flat[i * dim + m]
-            if abs(c) > cutoff:
-                terms[m] = complex(c)
-        out.append(GrassmannScalar(n, terms))
-    return out
+    V = flat.reshape(count, 1 << n).T
+    size = np.abs(V)
+    return array_elements(np.where(size > 1e-12 * size.max(initial=0.0), V, 0), n)
 
 
 def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
@@ -700,12 +701,8 @@ def oracle_solve(system: SuperLinearSystem) -> List[GrassmannScalar]:
     A = system.matrix
     m = A.nrows
     n = A.n
-    dim = 1 << n
-    u, s, t, _, right = _oracle_table(n)
-    big = np.zeros((m, dim, m, dim), dtype=complex)
     # block (j, i) is x -> x * a_ij, the right-multiplication operator of a_ij
-    big[:, u, :, s] = right[:, None, None] * A.array[t].transpose(0, 2, 1)
-    big = big.reshape(m * dim, m * dim)
+    big = _expansion(A.array.transpose(0, 2, 1), n, left=False)
     rhs = expand_vector(system.rhs, n)
     try:
         flat = np.linalg.solve(big, rhs)

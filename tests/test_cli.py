@@ -115,6 +115,14 @@ def test_sgr_tau_subcommand():
     assert out["finite"] and out["tau"]["terms"] == [{"im": 0.0, "mask": [], "re": 1.0}]
 
 
+def test_cli_import_leaves_the_acceptance_module_out():
+    # only the acceptance subcommand imports (and compiles) the acceptance criteria
+    code = "import sys, supercurves.cli; print('supercurves.acceptance' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # -- seed and config handling, in process ------------------------------------------
 
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from supercurves.errors import DimensionError, NotInvertibleError, ParityError
 from supercurves import grassmann
 from supercurves.grassmann import (_KERNEL_BUDGET, _TINY_MIN_PAIRS, MAX_GENERATORS,
-                                   GrassmannScalar, RealStructure, array_elements, array_mul,
-                                   grid_mul, random_element)
+                                   GrassmannScalar, RealStructure, array_elements, array_grid,
+                                   array_mul, grid_array, random_element)
 from supercurves.supermatrix import left_mult_operator
 
 N = 3
@@ -199,6 +199,15 @@ def _coeffs(x, n):
     return v
 
 
+def grid_product(A, B, n):
+    """The grid product A B through array_mul: both grids become arrays, the product a grid.
+
+    The ``test_grid_mul_*`` tests check this product, entry by entry.
+    """
+    inner, cols = len(B), len(B[0]) if B else 0
+    return array_grid(array_mul(grid_array(A, inner, n), grid_array(B, cols, n), n), n)
+
+
 @pytest.mark.parametrize("left_complex,right_complex", [(False, False), (True, False),
                                                         (False, True)],
                          ids=["lambda-lambda", "complex-lambda", "lambda-complex"])
@@ -208,7 +217,7 @@ def test_grid_mul_against_multiplication_operators(rng, left_complex, right_comp
     n, rows, inner, cols = 3, 4, 3, 5
     A = _random_grid(rng, rows, inner, n, left_complex)
     B = _random_grid(rng, inner, cols, n, right_complex)
-    out = grid_mul(A, B, n)
+    out = grid_product(A, B, n)
     assert len(out) == rows and all(len(row) == cols for row in out)
     for i in range(rows):
         for j in range(cols):
@@ -221,10 +230,10 @@ def test_grid_mul_against_multiplication_operators(rng, left_complex, right_comp
 
 def test_grid_mul_rejects_inner_mismatch():
     with pytest.raises(DimensionError):
-        grid_mul([[one(), one()]], [[one()]], N)
+        array_mul(grid_array([[one(), one()]], 2, N), grid_array([[one()]], 1, N), N)
 
 
-# -- grid_mul against the entrywise definition -------------------------------------
+# -- grid products through array_mul against the entrywise definition ---------------
 
 
 def _entrywise(A, B, n):
@@ -251,14 +260,14 @@ def test_grid_mul_matches_entrywise_products(rng, n, left_complex, right_complex
     # mixed-parity entries, zero entries and an all-zero first row
     A = _random_grid(rng, 4, 3, n, left_complex)
     B = _random_grid(rng, 3, 5, n, right_complex)
-    _assert_grids_close(grid_mul(A, B, n), _entrywise(A, B, n))
+    _assert_grids_close(grid_product(A, B, n), _entrywise(A, B, n))
 
 
 def test_grid_mul_homogeneous_parities(rng):
     n = 4
     A = [[random_element(rng, n, parity=(i + r) & 1) for r in range(3)] for i in range(3)]
     B = [[random_element(rng, n, parity=(r + j) & 1) for j in range(2)] for r in range(3)]
-    out = grid_mul(A, B, n)
+    out = grid_product(A, B, n)
     _assert_grids_close(out, _entrywise(A, B, n))
     assert all(e.parity() == (i + j) & 1 for i, row in enumerate(out) for j, e in enumerate(row))
 
@@ -269,22 +278,22 @@ def test_grid_mul_at_the_generator_cap(rng):
                                          for m in rng.integers(0, 1 << n, size=6)})
     A = [[sparse() for _ in range(2)] for _ in range(2)]
     B = [[sparse() for _ in range(2)] for _ in range(2)]
-    _assert_grids_close(grid_mul(A, B, n), _entrywise(A, B, n))
+    _assert_grids_close(grid_product(A, B, n), _entrywise(A, B, n))
 
 
 def test_grid_mul_without_rows():
     B = [[one(), gen(0)]]
-    assert grid_mul([], B, N) == []
-    assert grid_mul([[one()]], [[]], N) == [[]]
+    assert grid_product([], B, N) == []
+    assert grid_product([[one()]], [[]], N) == [[]]
 
 
 def test_grid_mul_keeps_exact_zeros():
     b0, b1 = gen(0), gen(1)
     # (0, 0): b0 b0 has no disjoint pair; (0, 1): b0 b1 + b1 b0 cancels exactly
-    out = grid_mul([[b0, b1]], [[b0, b1], [GrassmannScalar.zero(N), b0]], N)
+    out = grid_product([[b0, b1]], [[b0, b1], [GrassmannScalar.zero(N), b0]], N)
     assert out[0][0].terms == {}
     assert out[0][1].terms == {}
-    out = grid_mul([[b0]], [[b1 * 2.0]], N)
+    out = grid_product([[b0]], [[b1 * 2.0]], N)
     assert out[0][0].terms == {0b011: 2.0 + 0j}
 
 
@@ -293,8 +302,8 @@ def test_grid_mul_of_even_frames_stays_even(rng):
 
     window = sgr.TruncationWindow(4)
     W = sgr.random_big_cell_frame(rng, window, 4)
-    square = [W.entries[window.pos(d)] for d in window.neg_indices]
-    sgr.TruncatedFrame(window, 4, grid_mul(W.entries, square, 4)).require_even()
+    square = W.array[:, [window.pos(d) for d in window.neg_indices]]
+    sgr.TruncatedFrame._of(window, 4, array_mul(W.array, square, 4)).require_even()
 
 
 # -- array_mul: both contractions, batch axes --------------------------------------

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from supercurves.errors import DomainError, ParityError
+from supercurves.errors import DimensionError, DomainError, ParityError
 from supercurves.grassmann import GrassmannScalar, random_element
 from supercurves import jacobian as jac
 
@@ -206,3 +207,53 @@ def test_lattice_generators(pd_generic):
     # composite with the inverse is the identity
     z2, e2 = gens[G].inverse().apply(zg, eg)
     assert all(v.is_zero() for v in z2 + e2)
+
+
+@pytest.mark.parametrize("genus", [2, 3])
+def test_bilinear_pair_without_generators(genus):
+    # at n = 0 every element is even, so the a-periods vanish and the kernel is all A
+    Ze = [[GrassmannScalar.scalar(0, 1.2j if i == j else 0.1 * (i + j)) for j in range(genus)]
+          for i in range(genus)]
+    Zo = [[GrassmannScalar.zero(0)] * (genus - 1) for _ in range(genus)]
+    pd = jac.PeriodData(g=genus, Z_e=Ze, Z_o=Zo, n=0)
+    a, b, ah, bh, A = jac.construct_bilinear_pair(pd, np.random.default_rng(genus))
+    assert len(a) == genus and len(A) == genus - 1
+    assert all(v.is_zero() for v in a) and any(v.terms for v in A)
+    assert max(r.norm_inf() for r in jac.pair_relation_check(pd, a, A)) < 1e-12
+    assert jac.bilinear_check((a, b), (ah, bh)).norm_inf() < 1e-12
+
+
+def test_period_data_keeps_arrays_and_reads_grids(pd_generic):
+    Ze = [[g(1.3j) + mono([0, 1], 0.2), g(0.1 + 0.2j) + mono([2, 3], 0.3)],
+          [g(0.1 + 0.2j) - mono([2, 3], 0.3), g(1.1j)]]
+    assert pd_generic.Z_e == Ze
+    assert pd_generic.Z_o == [[mono([0], 0.7)], [mono([1], 0.4)]]
+    assert pd_generic.ze.shape == (1 << N, G, G) and pd_generic.zo.shape == (1 << N, G, G - 1)
+    with pytest.raises(ParityError):  # an odd entry has no body
+        jac.PeriodData(g=G, Z_e=Ze, Z_o=[[mono([0]) + g(0.5)], [g(0)]], n=N)
+    with pytest.raises(ParityError):
+        jac.PeriodData(g=G, Z_e=Ze, Z_o=[[mono([0, 1])], [g(0)]], n=N)
+    with pytest.raises(DimensionError):
+        jac.PeriodData(g=G, Z_e=Ze, Z_o=[[g(0)]], n=N)
+
+
+def test_period_work_makes_no_grid_conversion(pd_generic, rng, conversions):
+    a, b, ah, bh, A = jac.construct_bilinear_pair(pd_generic, rng)
+    conversions.clear()
+    jac.connecting_map(pd_generic)
+    jac.connecting_map(pd_generic, via_full_matrix=True)
+    jac.dual_cohomology(pd_generic)
+    jac.pair_relation_check(pd_generic, a, A)
+    assert conversions == []
+
+
+def test_period_matrix_work_runs_no_element_arithmetic(pd_generic, rng, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("GrassmannScalar arithmetic in the period-matrix work")
+
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(GrassmannScalar, op, refuse)
+    jac.connecting_map(pd_generic)
+    jac.connecting_map(pd_generic, via_full_matrix=True)
+    jac.dual_cohomology(pd_generic)
+    jac.construct_bilinear_pair(pd_generic, rng)

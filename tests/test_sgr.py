@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from supercurves.errors import BigCellError, DomainError, ParityError
-from supercurves.grassmann import GrassmannScalar, grid_mul, random_element
+from supercurves.grassmann import GrassmannScalar, array_elements, array_grid, array_mul, \
+    random_element
 from supercurves.supermatrix import berezinian
 from supercurves import acceptance, sgr
 
@@ -81,14 +82,24 @@ def test_lambda_plus_mu_is_z_power(window):
         assert combo.entries == direct.entries
 
 
+def test_keys_on_the_same_slots_add(window):
+    # z^-1 and lambda_1 both lower the even lines by one step: those slots hold the sum
+    a, b = g(0.3) + mono([0, 1], 0.2), g(-0.1j) + mono([2, 3], 0.5)
+    both, _ = sgr.multiplication_matrix(window, {("z", -1): a, ("lambda", 1): b}, N)
+    z, _ = sgr.multiplication_matrix(window, {("z", -1): a}, N)
+    lam, _ = sgr.multiplication_matrix(window, {("lambda", 1): b}, N)
+    assert np.array_equal(both.array, z.array + lam.array)
+    assert (both.entries[window.pos(-2)][window.pos(0)] - (a + b)).norm_inf() == 0.0
+
+
 def test_composition_matches_symbol_product(window):
     sym_a = {(1, 0): g(0.5), (-1, 1): mono([0], 0.3)}
     sym_b = {(-2, 0): g(1.0 + 0.5j), (1, 1): mono([1], 0.7)}
     a, _ = sgr.multiplication_matrix(window, sgr.symbol_of_jheis(sym_a), N)
     b, _ = sgr.multiplication_matrix(window, sgr.symbol_of_jheis(sym_b), N)
-    prod = grid_mul(a.entries, b.entries, N)
+    prod = array_grid(array_mul(a.array, b.array, N), N)
     want, _ = sgr.multiplication_matrix(
-        window, sgr.symbol_of_jheis(sgr.symbol_mul(sym_a, sym_b, N)), N)
+        window, sgr.symbol_of_jheis(_dict_symbol_mul(sym_a, sym_b, N)), N)
     interior = [d for d in window.indices if abs(d) <= 2 * window.M - 6]
     want_grid = want.entries
     for r in interior:
@@ -134,12 +145,13 @@ def test_exp_band_apply_inverse_flow_returns_frame(window, banded_frame):
 
 def test_log_of_symbol_with_body_raises():
     with pytest.raises(DomainError):
-        sgr.symbol_log_unipotent({(-1, 0): g(0.5)}, N)
+        sgr.symbol_log_unipotent(sgr.symbol_array({(-1, 0): g(0.5)}, N), N)
 
 
 def test_symbol_exp_of_one_key_is_the_taylor_series():
     c = 0.3 - 0.2j
-    out = sgr.symbol_exp({(-1, 0): g(c)}, N, 9)  # grades 2, 4, 6, 8 below 9
+    # grades 2, 4, 6, 8 below 9
+    out = _symbol_dict(sgr.symbol_exp(sgr.symbol_array({(-1, 0): g(c)}, N), N, 9))
     want = {(-k, 0): c ** k / math.factorial(k) for k in range(5)}
     assert set(out) == set(want)
     assert all(abs(out[key].body - v) < 1e-15 for key, v in want.items())
@@ -147,7 +159,7 @@ def test_symbol_exp_of_one_key_is_the_taylor_series():
 
 def test_symbol_exp_inverts_symbol_log():
     u = {(-1, 0): mono([0, 1], 0.5), (-1, 1): mono([2], 0.3), (-2, 0): mono([1, 3], -0.2)}
-    back = sgr.symbol_exp(sgr.symbol_log_unipotent(u, N), N, 40)
+    back = _symbol_dict(sgr.symbol_exp(sgr.symbol_log_unipotent(sgr.symbol_array(u, N), N), N, 40))
     want = dict(u)
     want[(0, 0)] = g(1)
     zero = g(0)
@@ -157,14 +169,123 @@ def test_symbol_exp_inverts_symbol_log():
 
 @pytest.mark.parametrize("key", [(0, 0), (1, 1)])
 def test_symbol_exp_needs_negative_degree(key):
-    # theta alone, (0, 1), lowers the doubled index by one and is allowed
+    # theta alone, (0, 1), lowers the doubled index by one and is allowed; the
+    # check runs where the dict symbol becomes a grade array
     with pytest.raises(DomainError):
-        sgr.symbol_exp({key: mono([0, 1] if key[1] == 0 else [0])}, N, 8)
+        sgr.symbol_exp(sgr.symbol_array({key: mono([0, 1] if key[1] == 0 else [0])}, N), N, 8)
 
 
 def test_symbol_exp_needs_an_even_symbol():
     with pytest.raises(ParityError):
-        sgr.symbol_exp({(-1, 0): mono([0])}, N, 8)
+        sgr.symbol_exp(sgr.symbol_array({(-1, 0): mono([0])}, N), N, 8)
+    with pytest.raises(ParityError):  # a mixed coefficient
+        sgr.symbol_array({(-1, 1): mono([0]) + g(1)}, N)
+
+
+# -- the grade arrays against the dict symbol arithmetic ----------------------------------
+
+
+def _symbol_dict(S, n=N):
+    """The nonzero columns of a grade array as a dict symbol, grade j at key (-(j // 2), j & 1)."""
+    return {(-(j // 2), j & 1): e for j, e in enumerate(array_elements(S, n)) if e.terms}
+
+
+def _accumulate(out, key, c):
+    s = out[key] + c if key in out else c
+    if s.terms:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def _dict_symbol_mul(a, b, n):
+    """Product of dict symbols of any grades: theta^2 = 0, coefficients supercommute past theta."""
+    out = {}
+    for (m1, t1), c1 in a.items():
+        for (m2, t2), c2 in b.items():
+            if t1 and t2:
+                continue
+            c = c1 * c2
+            if t1 and c2.terms:
+                par = c2.parity()
+                if par is None:
+                    raise ParityError("mixed-parity symbol coefficient")
+                if par == 1:
+                    c = -c1 * c2  # move c2 past theta
+            _accumulate(out, (m1 + m2, t1 | t2), c)
+    return out
+
+
+def _dict_symbol_log_unipotent(u, n):
+    out = {}
+    power = dict(u)
+    sign = 1.0
+    for k in range(1, n + 1):
+        if not power:
+            break
+        for key, c in power.items():
+            _accumulate(out, key, c * (sign / k))
+        power = _dict_symbol_mul(power, u, n)
+        sign = -sign
+    if power:
+        raise DomainError("log series did not terminate; coefficients not nilpotent")
+    return out
+
+
+def _dict_symbol_exp(s, n, order):
+    """The Brent-Kung recurrence on dict symbols, one element product per pair of grades."""
+    parts = {t - 2 * m: {(m, t): c} for (m, t), c in s.items()}
+    grades = [{(0, 0): GrassmannScalar.one(n)}]
+    for k in range(1, order):
+        Ek = {}
+        for j, sj in parts.items():
+            if j <= k:
+                for key, c in _dict_symbol_mul(sj, grades[k - j], n).items():
+                    _accumulate(Ek, key, c * (j / k))
+        grades.append(Ek)
+    return {key: c for Ek in grades for key, c in Ek.items()}
+
+
+def _gap_dicts(got, want):
+    zero = g(0)
+    return max((got.get(key, zero) - want.get(key, zero)).norm_inf()
+               for key in set(got) | set(want))
+
+
+def _random_even_symbol(rng, grades, scale, soul_only=False):
+    out = {}
+    for j in grades:
+        c = random_element(rng, N, parity=j & 1, scale=scale)
+        out[(-(j // 2), j & 1)] = c - c.body if soul_only else c
+    return out
+
+
+@pytest.mark.parametrize("order", [32, 48])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symbol_arrays_match_the_dict_arithmetic(order, seed):
+    rng = np.random.default_rng([seed, order])
+    flow = _random_even_symbol(rng, [1, 2, 3, 4, 7], 0.3)
+    S = sgr.symbol_array(flow, N)
+    assert _gap_dicts(_symbol_dict(sgr.symbol_exp(S, N, order)),
+                      _dict_symbol_exp(flow, N, order)) < 1e-15
+    other = _random_even_symbol(rng, [1, 2, 5, 6], 0.5)
+    assert _gap_dicts(_symbol_dict(sgr.symbol_mul(S, sgr.symbol_array(other, N), N)),
+                      _dict_symbol_mul(flow, other, N)) < 1e-15
+    u = _random_even_symbol(rng, [1, 2, 3, 6], 0.5, soul_only=True)
+    assert _gap_dicts(_symbol_dict(sgr.symbol_log_unipotent(sgr.symbol_array(u, N), N)),
+                      _dict_symbol_log_unipotent(u, N)) < 1e-15
+
+
+def test_flow_and_tau_make_no_element_product(monkeypatch):
+    frame = acceptance._frame_at(8, N)
+    t = acceptance._test_flow(N)
+
+    def refuse(*args):
+        raise AssertionError("GrassmannScalar product on the flow path")
+
+    monkeypatch.setattr(GrassmannScalar, "__mul__", refuse)
+    sgr.flowed_frame(frame, t)
+    assert sgr.tau(frame, t).finite
 
 
 # -- the flow as one product against the band exponential ------------------------------
@@ -371,8 +492,8 @@ def test_tau_factorizable_shift_product_rule(window):
     band, _ = sgr.multiplication_matrix(window, sym_m, N)
     frame = sgr.exp_band_apply(band, sgr.standard_frame(window, N))
     phi_sym = {(-1, 0): mono([0, 1], 0.5), (-1, 1): mono([2], 0.3)}
-    k_sym = sgr.symbol_log_unipotent(phi_sym, N)
-    k = sgr.HeisenbergElement.from_symbol({key: -c for key, c in k_sym.items()}, N)
+    k_sym = sgr.symbol_log_unipotent(sgr.symbol_array(phi_sym, N), N)
+    k = sgr.HeisenbergElement.from_symbol(_symbol_dict(-k_sym), N)
     f = sgr.HeisenbergElement(N, {2: g(0.12 + 0.04j), 4: g(-0.06), 1: mono([3], 0.3)})
     tau_f = sgr.tau(frame, f)
     tau_k = sgr.tau(frame, k)

@@ -620,6 +620,22 @@ def test_mult_operators_match_the_merge_sign_loop(rng, n):
     assert not left_mult_operator(zero).any() and not right_mult_operator(zero).any()
 
 
+@pytest.mark.parametrize("n", range(7))
+def test_expand_left_map_is_the_blocks_of_left_operators(rng, n):
+    from supercurves.grassmann import array_elements, random_element
+    from supercurves.supermatrix import expand_left_map, left_mult_operator
+
+    rows, cols, dim = 3, 2, 1 << n
+    D = np.stack([random_element(rng, n).coeffs() for _ in range(rows * cols)], axis=1)
+    D = D.reshape(dim, rows, cols)
+    D[:, 1, 0] = 0  # a zero entry gives a zero block
+    want = np.zeros((rows * dim, cols * dim), dtype=complex)
+    for i in range(rows):
+        for j, e in enumerate(array_elements(D[:, i, :], n)):
+            want[i * dim:(i + 1) * dim, j * dim:(j + 1) * dim] = left_mult_operator(e)
+    assert np.array_equal(expand_left_map(D, n), want)
+
+
 def test_oracle_is_independent_of_the_lambda_products(rng, monkeypatch):
     from supercurves import grassmann, supermatrix
 
