@@ -62,9 +62,14 @@ class SuperEllipticData:
 
 def _theta_ratios(ctx: ThetaContext, x: GrassmannScalar
                   ) -> Tuple[GrassmannScalar, GrassmannScalar, GrassmannScalar]:
-    """(Theta'/Theta, Theta''/Theta, [log Theta]'') at the even argument x."""
+    """(Theta'/Theta, Theta''/Theta, [log Theta]'') at the even argument x.
+
+    Theta vanishes at the body of x when |Theta| <= 1e-12 |Theta'|: near a
+    simple zero their quotient is the distance to it, whatever the overall
+    factor exp(pi i tau / 4) of Theta_11 makes of both.
+    """
     t0, t1, t2 = theta_jet(ctx, [x], [(0,), (1,), (2,)])
-    if abs(t0.body) < 1e-12:
+    if abs(t0.body) <= 1e-12 * abs(t1.body):
         raise DomainError("theta vanishes at the evaluation body")
     inv = t0.invert()
     r1 = t1 * inv

@@ -22,8 +22,8 @@ whole array at once.  Grids, lists of rows of elements, appear only at the
 edge: in the public constructors, which convert them once with
 ``grid_array``, in the ``entries`` (and ``Z_e``/``Z_o``) reads, which
 ``array_grid`` builds from the array, and in the JSON forms.  ``theta``
-reads its grids of souls and odd periods entry by entry and multiplies no
-Lambda-matrices; ``elliptic`` builds its Baker matrix as a ``SuperMatrix``.
+converts its grid of period souls once and multiplies no Lambda-matrices;
+``elliptic`` builds its Baker matrix as a ``SuperMatrix``.
 
 The number of generators is configuration (the underlying theory never fixes
 it) and is capped at 12, the largest n at which a matrix product was measured:
@@ -421,6 +421,9 @@ Grid = List[List[GrassmannScalar]]
 # the disjoint mask pairs and their merge signs, built lazily per generator count
 _PAIR_TABLES: Dict[int, tuple] = {}
 
+# the parity of every monomial, shaped (2^n, 1, 1), keyed by 2^n
+_MONOMIAL_PARITY: Dict[int, np.ndarray] = {}
+
 # complex entries the kernel's temporaries may hold at once (16 bytes each)
 _KERNEL_BUDGET = 1 << 14
 
@@ -513,13 +516,14 @@ def parity_violations(D: np.ndarray, row_parity: Sequence[int],
     col_parity[j] mod 2: it holds nonzero coefficients only at monomials of
     that parity.  Exact zeros satisfy every parity.
     """
-    masks = np.arange(len(D))
-    odd = np.zeros(len(D), dtype=int)
-    for j in range(len(D).bit_length() - 1):
-        odd ^= masks >> j
+    odd = _MONOMIAL_PARITY.get(len(D))
+    if odd is None:  # a mask's top generator flips the parity of the masks below it
+        odd = np.zeros(1, dtype=int)
+        while len(odd) < len(D):
+            odd = np.concatenate([odd, 1 - odd])
+        odd = _MONOMIAL_PARITY[len(D)] = odd[:, None, None]
     want = np.add.outer(np.asarray(row_parity, dtype=int), np.asarray(col_parity, dtype=int))
-    wrong = (odd & 1)[:, None, None] != want & 1
-    return ((D != 0) & wrong).any(axis=0)
+    return ((D != 0) & (odd != want & 1)).any(axis=0)
 
 
 def array_mul(A: np.ndarray, B: np.ndarray, n: int) -> np.ndarray:

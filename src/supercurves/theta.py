@@ -6,10 +6,12 @@ The quadratic-form convention is
 
 with the entries of Z treated as independent (no symmetry is imposed at
 evaluation time; symmetric inputs reproduce the classical values).  Nilpotent
-parts of z and Z are handled by an exact, terminating Taylor expansion around
-the complex bodies: the soul exponent of every lattice term is a linear
-combination of finitely many even nilpotents with polynomial-in-n weights, so
-the expansion reduces to complex moment sums over the truncated lattice.
+parts of z and Z are expanded exactly around the complex bodies: the soul of
+the exponent at a lattice point n is sum_m s_m(n) e_m over even monomials
+e_m, with s_m(n) = 2 pi i n^t z_m + pi i n^t Z_m n.  Even monomials commute
+and square to zero, so its exponential is the finite product
+prod_m (1 + s_m(n) e_m), with no truncation; each monomial that product
+reaches is one complex vector over the truncated lattice.
 
 One argument z costs one lattice pass (``theta_jet``): Theta and every z-derivative
 d^m Theta it needs are weight rows prod_j (2 pi i n_j)^{m_j} on the same sum.
@@ -32,7 +34,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from .errors import DimensionError, DomainError, ParityError
-from .grassmann import GrassmannScalar, as_grassmann
+from .grassmann import GrassmannScalar, as_grassmann, grid_array, parity_violations, sign_of_merge
 
 TWO_PI_I = 2j * math.pi
 PI_I = 1j * math.pi
@@ -43,7 +45,11 @@ _MAX_DERIVATIVE_ORDER = 4
 
 
 def default_truncation(Z_red: np.ndarray) -> int:
-    """Gaussian tail bound: N = max(8, ceil(5 / sqrt(lambda_min(Im Z))))."""
+    """The cube radius N = max(8, ceil(5 / sqrt(lambda_min(Im Z)))).
+
+    A heuristic, not a tail bound: it counts neither the polynomial weights
+    of derivatives nor the degree of the soul expansion.
+    """
     lam = float(np.linalg.eigvalsh(Z_red.imag).min())
     if lam <= 0:
         raise DomainError("Im Z_red is not positive definite")
@@ -66,22 +72,27 @@ class ThetaContext:
         g = self.genus
         if self.Z_red.shape != (g, g):
             raise DimensionError(f"Z_red must be {g}x{g}")
-        lam = float(np.linalg.eigvalsh(self.Z_red.imag).min())
-        if lam <= 0:
-            raise DomainError("Im Z_red is not positive definite")
+        N = default_truncation(self.Z_red)  # also checks that Im Z_red > 0
         if self.characteristic not in (CHAR_PLAIN, CHAR_ODD):
             raise DomainError(f"unsupported characteristic {self.characteristic!r}")
         if self.N is None:
-            self.N = default_truncation(self.Z_red)
+            self.N = N
         if self.N < 1:
             raise DomainError("truncation radius must be >= 1")
+        # the monomials of Z_soul that occur, and their g x g coefficient slices
+        self._soul_masks: List[int] = []
+        self._soul_coeffs = np.zeros((0, g, g), dtype=complex)
         if self.Z_soul is not None:
-            for row in self.Z_soul:
-                for e in row:
-                    if e.body != 0 or (e.terms and e.parity() != 0):
-                        raise ParityError("Z_soul entries must be even with zero body")
-                    self.n_gens = max(self.n_gens, e.n)
-        self._lattice_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            if len(self.Z_soul) != g or any(len(row) != g for row in self.Z_soul):
+                raise DimensionError(f"Z_soul must be {g}x{g}")
+            self.n_gens = max([self.n_gens] + [e.n for row in self.Z_soul for e in row])
+            S = grid_array([[e.embed(self.n_gens) for e in row] for row in self.Z_soul],
+                           g, self.n_gens)
+            if S[0].any() or parity_violations(S, [0] * g, [0] * g).any():
+                raise ParityError("Z_soul entries must be even with zero body")
+            self._soul_masks = S.any(axis=(1, 2)).nonzero()[0].tolist()
+            self._soul_coeffs = S[self._soul_masks]
+        self._lattice_cache: Dict[int, tuple] = {}
 
     # characteristic offsets: Theta[a,b](z) = sum exp(pi i P Z P + 2 pi i P (z+b)), P = n+a
     def _char_offsets(self) -> Tuple[float, float]:
@@ -92,94 +103,76 @@ class ThetaContext:
     def lattice(self) -> np.ndarray:
         return self._lattice_plan()[0]
 
-    def quad_form(self) -> np.ndarray:
-        """n^t Z_red n at each point of ``lattice()``; z-independent, so built with it."""
-        return self._lattice_plan()[1]
-
-    def _lattice_plan(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _lattice_plan(self) -> tuple:
+        """The points P, pi i P^t Z_red P at each, and the soul forms pi i P^t Z_m P
+        of the monomials m of Z_soul, keyed by m: all of them z-independent."""
         N = self.N
         plan = self._lattice_cache.get(N)
         if plan is None:
+            g = self.genus
             a, _ = self._char_offsets()
-            axes = [np.arange(-N, N + 1, dtype=float) + a] * self.genus
-            grid = np.meshgrid(*axes, indexing="ij")
-            pts = np.stack([g.ravel() for g in grid], axis=1)
-            plan = self._lattice_cache[N] = (pts, np.einsum("ij,jk,ik->i", pts, self.Z_red, pts))
+            P = np.indices((2 * N + 1,) * g, dtype=float).reshape(g, -1).T - (N - a)
+            quad, *forms = [PI_I * np.einsum("ij,jk,ik->i", P, C, P)
+                            for C in (self.Z_red, *self._soul_coeffs)]
+            plan = self._lattice_cache[N] = (P, quad, dict(zip(self._soul_masks, forms)))
         return plan
 
 
-def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, List[GrassmannScalar], int]:
+def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, Dict[int, np.ndarray], int]:
+    """The body of z, its soul as monomial mask -> coefficient vector, and the generator count."""
     g = ctx.genus
     if len(z) != g:
         raise DimensionError(f"argument must have length {g}")
-    n = ctx.n_gens
-    for v in z:
-        if isinstance(v, GrassmannScalar):
-            n = max(n, v.n)
-    zs: List[GrassmannScalar] = []
+    n = max([ctx.n_gens] + [v.n for v in z if isinstance(v, GrassmannScalar)])
     z0 = np.zeros(g, dtype=complex)
+    souls: Dict[int, np.ndarray] = {}
     for j, v in enumerate(z):
-        gv = v.embed(n) if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
-        if gv.terms and gv.parity() != 0:
+        if not isinstance(v, GrassmannScalar):
+            z0[j] = v
+            continue
+        if v.parity() != 0:
             raise ParityError("theta arguments must be even elements")
-        z0[j] = gv.body
-        zs.append(gv.soul())
-    return z0, zs, n
+        for m, c in v.terms.items():
+            if m:
+                souls.setdefault(m, np.zeros(g, dtype=complex))[j] = c
+            else:
+                z0[j] = c
+    return z0, souls, n
 
 
-def _soul_basis(ctx: ThetaContext, zs: List[GrassmannScalar], P: np.ndarray, n: int):
-    """Even nilpotent basis elements and their per-lattice-point complex weights."""
-    basis: List[Tuple[GrassmannScalar, np.ndarray]] = []
-    if ctx.Z_soul is not None:
-        for j in range(ctx.genus):
-            for k in range(ctx.genus):
-                e = ctx.Z_soul[j][k]
-                if e.terms:
-                    basis.append((e.embed(n), PI_I * P[:, j] * P[:, k]))
-    for j, e in enumerate(zs):
-        if e.terms:
-            basis.append((e, TWO_PI_I * P[:, j]))
-    return basis
+def _lattice_sum(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[int], complex]]
+                 ) -> List[GrassmannScalar]:
+    """c sum_n prod_(j in idx) n_j exp(pi i n^t Z n + 2 pi i n^t z) for each row (idx, c).
 
-
-def _taylor_sum(n: int, basis, weights: np.ndarray) -> List[GrassmannScalar]:
-    """Exact expansion of sum_n w_rn exp(sum_b c_b(n) G_b) for every weight row r."""
-    totals = [GrassmannScalar.scalar(n, complex(s)) for s in weights.sum(axis=1)]
-    nb = len(basis)
-
-    # exp(sum x_b G_b) over commuting nilpotents: iterate non-decreasing index
-    # multisets, each carrying 1/prod(multiplicity!) tracked by run length; the
-    # product of a multiset's nilpotents is formed once and shared by all rows.
-    def extend_exact(start: int, gprod: GrassmannScalar, warr: np.ndarray,
-                     factor: float, run_b: int, run_len: int):
-        for b in range(start, nb):
-            G_b, w_b = basis[b]
-            g2 = gprod * G_b
-            if not g2.terms:
-                continue
-            rl = run_len + 1 if b == run_b else 1
-            f2 = factor / rl
-            w2 = warr * w_b
-            for r, s in enumerate(w2.sum(axis=1)):
-                totals[r] = totals[r] + g2 * (f2 * complex(s))
-            extend_exact(b, g2, w2, f2, b, rl)
-
-    extend_exact(0, GrassmannScalar.one(n), weights, 1.0, -1, 0)
-    return totals
-
-
-def _lattice_sum(ctx: ThetaContext, z: Sequence, weight) -> List[GrassmannScalar]:
-    """sum_n w_r(n) exp(pi i n^t Z n + 2 pi i n^t z) over the truncated lattice, for each row r.
-
-    ``weight`` maps the lattice points P to a (rows, points) array; the nilpotent
-    parts of z and Z are expanded exactly.
+    The soul of the exponent at n is S(n) = sum_m s_m(n) e_m over even
+    monomials e_m.  These commute and square to zero, so exp S(n) =
+    prod_m (1 + s_m(n) e_m) exactly: the product is formed factor by factor,
+    one lattice vector for each monomial it reaches, and the weight rows meet
+    all of them in one matrix product.  Without souls the product is empty.
     """
-    z0, zs, n = _split_argument(ctx, z)
+    z0, z_souls, n = _split_argument(ctx, z)
     P = ctx.lattice()
-    _, b_off = ctx._char_offsets()
-    lin = P @ (z0 + b_off)
-    c = np.exp(PI_I * ctx.quad_form() + TWO_PI_I * lin)
-    return _taylor_sum(n, _soul_basis(ctx, zs, P, n), c * weight(P))
+    _, quad, souls = ctx._lattice_plan()
+    _, b = ctx._char_offsets()
+    souls = dict(souls)
+    for m, c in z_souls.items():
+        s = P @ (TWO_PI_I * c)
+        souls[m] = souls[m] + s if m in souls else s
+    terms = {0: np.exp(quad + P @ (TWO_PI_I * (z0 + b)))}
+    for m, s in souls.items():
+        for k, v in list(terms.items()):
+            if k & m:
+                continue
+            t = v * s if sign_of_merge(k, m) > 0 else -(v * s)
+            km = k | m
+            terms[km] = terms[km] + t if km in terms else t
+    W = np.ones((len(rows), len(P)))
+    for w, (idx, _) in zip(W, rows):
+        for j in idx:
+            w *= P[:, j]
+    sums = (W @ np.array(list(terms.values())).T).tolist()
+    return [GrassmannScalar(n, {m: c * v for m, v in zip(terms, row)})
+            for (_, c), row in zip(rows, sums)]
 
 
 def theta_jet(ctx: ThetaContext, z: Sequence, derivs: Sequence[Sequence[int]]
@@ -190,16 +183,8 @@ def theta_jet(ctx: ThetaContext, z: Sequence, derivs: Sequence[Sequence[int]]
             raise DimensionError("derivative multi-index has wrong length")
         if sum(m) > _MAX_DERIVATIVE_ORDER:
             raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
-
-    def weight(P):
-        w = np.ones((len(derivs), len(P)), dtype=complex)
-        for r, m in enumerate(derivs):
-            for j, mj in enumerate(m):
-                for _ in range(mj):
-                    w[r] = w[r] * (TWO_PI_I * P[:, j])
-        return w
-
-    return _lattice_sum(ctx, z, weight)
+    return _lattice_sum(ctx, z, [([j for j, mj in enumerate(m) for _ in range(mj)],
+                                  TWO_PI_I ** sum(m)) for m in derivs])
 
 
 def theta(ctx: ThetaContext, z: Sequence, deriv: Sequence[int] | None = None) -> GrassmannScalar:
@@ -217,8 +202,7 @@ def theta_derivative(ctx: ThetaContext, z: Sequence, order: Sequence[int]) -> Gr
 
 def theta_Z_derivative(ctx: ThetaContext, z: Sequence, jk: Tuple[int, int]) -> GrassmannScalar:
     """d Theta / d Z_jk in the independent-entry convention (factor pi i n_j n_k)."""
-    j, k = jk
-    return _lattice_sum(ctx, z, lambda P: (PI_I * P[:, j] * P[:, k])[None])[0]
+    return _lattice_sum(ctx, z, [(jk, PI_I)])[0]
 
 
 # -- super theta functions ---------------------------------------------------------

@@ -105,7 +105,7 @@ def test_soul_arguments_supported():
 
 
 def test_theta_ratios_read_the_lattice_once(lattice_reads):
-    # x carries a soul and Z a soul, so the nilpotent Taylor products are shared by all rows
+    # x carries a soul and Z a soul, so the soul products are shared by all rows
     n = 4
     ctx = ThetaContext(genus=1, Z_red=np.array([[0.1 + 1.3j]]), characteristic="11", n_gens=n,
                        Z_soul=[[GrassmannScalar.monomial(n, [2, 3], 0.2 - 0.1j)]])
@@ -120,3 +120,19 @@ def test_theta_ratios_read_the_lattice_once(lattice_reads):
     assert (r1 - want1).norm_inf() < 1e-12
     assert (r2 - want2).norm_inf() < 1e-12
     assert (lt2 - (want2 - want1 * want1)).norm_inf() < 1e-12
+
+
+@pytest.mark.parametrize("im_tau", [40.0, 200.0])
+def test_theta_ratios_are_scale_free(im_tau):
+    # Theta_11 carries the factor exp(pi i tau / 4): |Theta| is 4e-14 at Im tau = 40
+    # and 1e-68 at 200, yet a = 0.3 + 0.1i is far from its zeros, where
+    # [log Theta]'' = -pi^2 / sin^2(pi a) up to terms of order exp(-2 pi Im tau)
+    a = 0.3 + 0.1j
+    d = data(a=a, zeta=0.1, tau=1j * im_tau)
+    lt2 = -np.pi ** 2 / np.sin(np.pi * a) ** 2
+    want = g(1) - (ALPHA * DELTA) * (lt2 / (2j * np.pi))
+    got = ell.tau_closed_form(d)
+    assert (got - want).norm_inf() <= 1e-9 * want.norm_inf()
+    assert ell.ber_check_residual(d) < 1e-9
+    with pytest.raises(DomainError):
+        ell.tau_closed_form(data(a=0.0, tau=1j * im_tau))

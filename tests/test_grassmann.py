@@ -10,7 +10,8 @@ from supercurves.errors import DimensionError, NotInvertibleError, ParityError
 from supercurves import grassmann
 from supercurves.grassmann import (_KERNEL_BUDGET, _TINY_MIN_PAIRS, MAX_GENERATORS,
                                    GrassmannScalar, RealStructure, array_elements, array_grid,
-                                   array_mul, grid_array, random_element)
+                                   array_mul, grid_array, parity_violations,
+                                   random_element)
 from supercurves.supermatrix import left_mult_operator
 
 N = 3
@@ -410,3 +411,21 @@ def test_array_mul_tiny_path_stays_under_the_budget_at_the_generator_cap(rng, mo
     assert max(peaks) <= 16 * _KERNEL_BUDGET + 4096
     monkeypatch.setattr(grassmann, "_pairs_innermost", lambda *args: False)  # matmul
     assert np.abs(array_mul(A, B, n) - C).max() <= 1e-12 * np.abs(C).max()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_parity_violations_against_entrywise_check(rng, n):
+    rows, cols = 3, 4
+    row_parity, col_parity = rng.integers(0, 2, rows), rng.integers(0, 2, cols)
+    odd = np.array([bin(m).count("1") & 1 for m in range(1 << n)])
+    for density in (0.0, 0.3, 1.0):
+        D = _random_array(rng, n, (rows, cols), density)
+        # about half the entries keep only slots of their own parity, some of them none
+        for i in range(rows):
+            for j in range(cols):
+                if rng.random() < 0.5:
+                    D[odd != (row_parity[i] + col_parity[j]) % 2, i, j] = 0
+        want = np.array([[any(D[m, i, j] != 0 and odd[m] != (row_parity[i] + col_parity[j]) % 2
+                              for m in range(1 << n)) for j in range(cols)] for i in range(rows)])
+        assert np.array_equal(parity_violations(D, row_parity, col_parity), want)
+    assert not parity_violations(np.zeros((1 << n, 2, 2)), [0, 1], [1, 1]).any()

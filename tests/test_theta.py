@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from supercurves.errors import DimensionError, DomainError, ParityError
-from supercurves.grassmann import GrassmannScalar
+from supercurves.grassmann import GrassmannScalar, random_element
 from supercurves.theta import (
     ThetaContext,
     build_super_theta,
@@ -150,6 +152,22 @@ def test_positive_definiteness_enforced():
         ThetaContext(genus=1, Z_red=np.array([[-1j]]))
 
 
+def test_Z_soul_checked():
+    n = 4
+    Z = np.array([[1.2j, 0.1], [0.1, 1.1j]])
+    even, zero = GrassmannScalar.monomial(n, [0, 1], 0.1), GrassmannScalar.zero(n)
+    for bad in (GrassmannScalar.generator(n, 2), even + GrassmannScalar.scalar(n, 0.1),
+                even + GrassmannScalar.generator(n, 3)):
+        with pytest.raises(ParityError):
+            ThetaContext(genus=2, Z_red=Z, Z_soul=[[even, zero], [zero, bad]])
+    with pytest.raises(DimensionError):
+        ThetaContext(genus=2, Z_red=Z, Z_soul=[[even, zero, zero], [zero, even]])
+    # entries over fewer generators embed into the largest count
+    ctx = ThetaContext(genus=2, Z_red=Z, Z_soul=[[even, GrassmannScalar.monomial(2, [0, 1])],
+                                                [zero, zero]])
+    assert ctx.n_gens == n
+
+
 def test_odd_argument_rejected(ctx_g2):
     n = 2
     z = [GrassmannScalar.generator(n, 0), GrassmannScalar.zero(n)]
@@ -293,3 +311,95 @@ def test_wrong_shift_is_detected(ctx_g2):
     bad = f.evaluate([z[j] + 0.5 * Z[i, j] for j in range(2)])
     factor = np.exp(-1j * np.pi * (2 * z[i] + Z[i, i]))
     assert (bad - base * factor).norm_inf() > 1e-2
+
+
+# -- the soul product against the multiset Taylor sum ------------------------------
+
+
+def _reference_lattice_sum(ctx, z, weights, n):
+    """sum_n w_r(n) exp(pi i n^t Z n + 2 pi i n^t z) for each row of ``weights``, by the
+    multiset Taylor recursion over GrassmannScalar products that the soul product replaced."""
+    from supercurves.theta import PI_I, TWO_PI_I
+
+    zg = [v.embed(n) if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
+          for v in z]
+    P = ctx.lattice()
+    b = 0.5 if ctx.characteristic == "11" else 0.0
+    quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
+    c = np.exp(PI_I * quad + TWO_PI_I * (P @ (np.array([v.body for v in zg]) + b)))
+    basis = []
+    if ctx.Z_soul is not None:
+        for j in range(ctx.genus):
+            for k in range(ctx.genus):
+                e = ctx.Z_soul[j][k]
+                if e.terms:
+                    basis.append((e.embed(n), PI_I * P[:, j] * P[:, k]))
+    for j, v in enumerate(zg):
+        if v.soul().terms:
+            basis.append((v.soul(), TWO_PI_I * P[:, j]))
+    weights = c * weights
+    totals = [GrassmannScalar.scalar(n, complex(s)) for s in weights.sum(axis=1)]
+
+    def extend(start, gprod, warr, factor, run_b, run_len):
+        for i in range(start, len(basis)):
+            G, w = basis[i]
+            g2 = gprod * G
+            if not g2.terms:
+                continue
+            rl = run_len + 1 if i == run_b else 1
+            f2 = factor / rl
+            w2 = warr * w
+            for r, s in enumerate(w2.sum(axis=1)):
+                totals[r] = totals[r] + g2 * (f2 * complex(s))
+            extend(i, g2, w2, f2, i, rl)
+
+    extend(0, GrassmannScalar.one(n), weights, 1.0, -1, 0)
+    return totals
+
+
+def _random_soul(rng, n, scale):
+    e = random_element(rng, n, parity=0, scale=scale)
+    return e - GrassmannScalar.scalar(n, e.body)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_soul_product_matches_the_taylor_sum(genus, n):
+    rng = np.random.default_rng(100 * genus + n)
+    # Z and z carry full even souls over different generator counts, Z's the larger at
+    # genus 2 and z's elsewhere; one entry of Z_soul is an exact zero
+    n_Z, n_z = (n, max(n - 2, 2)) if genus == 2 else (max(n - 2, 2), n)
+    Z = np.diag(rng.uniform(0.9, 1.3, genus)) * 1j + 0.1 * rng.standard_normal((genus, genus))
+    Z_soul = [[_random_soul(rng, n_Z, 0.05) for _ in range(genus)] for _ in range(genus)]
+    Z_soul[0][genus - 1] = GrassmannScalar.zero(n_Z)
+    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul, N=5,
+                       characteristic="11" if genus == 1 else "0")
+    z = [GrassmannScalar.scalar(n_z, complex(*rng.uniform(-0.3, 0.3, 2))) + _random_soul(rng, n_z, 0.1)
+         for _ in range(genus)]
+    derivs = [m for m in itertools.product(range(3), repeat=genus) if sum(m) <= 2]
+    jk = (0, genus - 1)
+    P = ctx.lattice()
+    weights = np.array([np.prod((2j * np.pi * P) ** np.array(m), axis=1) for m in derivs]
+                       + [1j * np.pi * P[:, jk[0]] * P[:, jk[1]]])
+    want = _reference_lattice_sum(ctx, z, weights, n)
+    got = theta_jet(ctx, z, derivs) + [theta_Z_derivative(ctx, z, jk)]
+    for m, value, ref in zip(derivs + [jk], got, want):
+        assert value.n == n
+        assert (value - ref).norm_inf() <= 1e-13 * ref.norm_inf(), m
+
+
+def test_soul_lattice_pass_makes_no_element_products(monkeypatch):
+    n = 4
+    rng = np.random.default_rng(7)
+    Z_soul = [[_random_soul(rng, n, 0.05) for _ in range(2)] for _ in range(2)]
+    z = [GrassmannScalar.scalar(n, 0.1 + 0.02j) + _random_soul(rng, n, 0.1),
+         GrassmannScalar.scalar(n, -0.2)]
+
+    def refuse(*args):
+        raise AssertionError("GrassmannScalar product inside the lattice pass")
+
+    monkeypatch.setattr(GrassmannScalar, "__mul__", refuse)
+    ctx = ThetaContext(genus=2, Z_red=np.array([[1.2j, 0.1], [0.1, 1.1j]]), Z_soul=Z_soul)
+    values = theta_jet(ctx, z, [(0, 0), (1, 0), (1, 1)])
+    assert all(len(v.terms) > 1 for v in values)
+    assert theta_Z_derivative(ctx, z, (0, 1)).terms
