@@ -8,6 +8,7 @@ inputs and seeds produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -217,7 +218,8 @@ def cmd_tau_elliptic(args) -> None:
     d = ell.SuperEllipticData(
         tau_modulus=complex(*args.tau), delta=delta,
         a=GrassmannScalar.scalar(n, complex(*args.a)), alpha=alpha,
-        zeta=GrassmannScalar.scalar(n, complex(*args.zeta)), n=n)
+        zeta=GrassmannScalar.scalar(n, complex(*args.zeta)), n=n,
+        theta_N=int(_CONFIG["theta_N"]) if "theta_N" in _CONFIG else None)
     _emit({"tau_ratio": ell.tau_ratio(d).to_json(),
            "tau_closed_form": ell.tau_closed_form(d).to_json(),
            "ber_check_residual": ell.ber_check_residual(d),
@@ -239,6 +241,8 @@ def cmd_acceptance(args) -> None:
 
 def _complex_pair(text: str):
     parts = text.split(",")
+    if len(parts) > 2:
+        raise ValueError(f"expected re or re,im, got {text!r}")
     return (float(parts[0]), float(parts[1]) if len(parts) > 1 else 0.0)
 
 
@@ -248,46 +252,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_json=True):
+    def add(name, needs_json=True):
         sp = sub.add_parser(name)
         if needs_json:
             sp.add_argument("--json", default="-", help="input JSON path or - for stdin")
-        sp.set_defaults(fn=fn)
         return sp
 
-    add("ber", cmd_ber)
-    add("solve", cmd_solve)
-    add("quasidet", cmd_quasidet)
-    add("theta", cmd_theta)
-    add("super-theta", cmd_super_theta)
-    add("period-q", cmd_period_q)
-    add("dual-cohomology", cmd_dual_cohomology)
-    add("bilinear-check", cmd_bilinear_check)
+    for name in ("ber", "solve", "quasidet", "theta", "super-theta", "period-q",
+                 "dual-cohomology", "bilinear-check"):
+        add(name)
 
-    sp = add("rr", cmd_rr, needs_json=False)
+    sp = add("rr", needs_json=False)
     sp.add_argument("--degL", type=int, required=True)
     sp.add_argument("--g", type=int, required=True)
     sp.add_argument("--degN", type=int, default=0)
 
-    add("sgr-tau", cmd_sgr_tau)
-    add("sgr-baker", cmd_sgr_baker)
+    add("sgr-tau")
+    add("sgr-baker")
 
-    sp = add("tau-elliptic", cmd_tau_elliptic, needs_json=False)
+    sp = add("tau-elliptic", needs_json=False)
     sp.add_argument("--tau", type=_complex_pair, default=(0.0, 2.0),
                     help="modulus as re,im")
     sp.add_argument("--a", type=_complex_pair, default=(0.3, 0.1))
     sp.add_argument("--zeta", type=_complex_pair, default=(0.1, 0.0))
     sp.add_argument("--alpha-delta-scale", type=float, default=1.0)
 
-    sp = sub.add_parser("acceptance")
-    sp.set_defaults(fn=cmd_acceptance)
+    sp = add("acceptance", needs_json=False)
     sp.add_argument("--seed", type=int, default=None)
     return p
 
 
+# the parser depends on no input, so main builds it once per process.  It is bound to
+# the function object, so a later rebinding of cli.build_parser never reaches it, and it
+# holds no handler: main looks up cmd_<command> when it runs.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     cfg = {}
     if args.config:
         try:
@@ -308,8 +310,9 @@ def main(argv=None) -> int:
             return 2
     _CONFIG.clear()
     _CONFIG.update(cfg)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        args.fn(args)
+        handler(args)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -44,3 +44,38 @@ def test_tracer_uninstall_restores_bindings():
         tracer.uninstall()
     assert dict(vars(GrassmannScalar)) == before
     assert [dict(vars(ns)) for ns in namespaces] == before_ns
+
+
+def _rr_request():
+    return ["rr", "--degL", "3", "--g", "2", "--degN", "1"], ""
+
+
+def _ber_request():
+    import json
+
+    import numpy as np
+
+    from supercurves import supermatrix as sm
+
+    A = sm.random_even_matrix(np.random.default_rng(5), (2, 1), 4)
+    return ["ber"], json.dumps({"matrix": A.to_json()})
+
+
+@pytest.mark.parametrize("request_", [_rr_request, _ber_request], ids=["rr", "ber"])
+def test_traced_first_cli_call_leaves_the_shared_parser_untraced(request_):
+    cli = workloads.cli
+    argv, stdin = request_()
+    want = workloads.call_cli(argv, stdin)
+    assert want[0] == 0
+    cli._parser.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert workloads.call_cli(argv, stdin) == want  # builds the shared parser
+    finally:
+        tracer.uninstall()
+    assert "cli.main" in {s[2] for s in tracer.spans}
+    assert "parse_args" not in vars(cli._parser())
+    recorded = len(tracer.spans)
+    assert workloads.call_cli(argv, stdin) == want
+    assert len(tracer.spans) == recorded  # no wrapper outlives uninstall

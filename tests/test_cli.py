@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from supercurves import cli
+from supercurves import elliptic as ell
 from supercurves.cli import main
+from supercurves.grassmann import GrassmannScalar
 
 MATRIX_11 = {
     "rows": [1, 1], "cols": [1, 1],
@@ -214,3 +217,118 @@ def test_config_fills_window_M(tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["diagnostics"]["window_M"] == M
+
+
+# -- complex flags and tau-elliptic's lattice radius -----------------------------
+
+
+@pytest.mark.parametrize("flag", ["--tau=0,2,7", "--a=0.3,0.1,5", "--zeta=0.1,0,"])
+def test_complex_flag_rejects_extra_parts(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tau-elliptic", flag])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_complex_flag_takes_one_or_two_parts(capsys):
+    outs = []
+    for tau in ("--tau=0,2", "--tau=0.0,2.0"):
+        assert main(["tau-elliptic", tau, "--zeta=0.1"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert main(["tau-elliptic", "--tau=0,2", "--zeta=0.1,0"]) == 0
+    assert outs == [outs[0], capsys.readouterr().out]
+
+
+def _tau_elliptic_json(tau: complex, theta_N) -> dict:
+    n = 2
+    d = ell.SuperEllipticData(
+        tau_modulus=tau, delta=GrassmannScalar.generator(n, 1),
+        a=GrassmannScalar.scalar(n, 0.3 + 0.1j), alpha=GrassmannScalar.generator(n, 0),
+        zeta=GrassmannScalar.scalar(n, 0.1), n=n, theta_N=theta_N)
+    return {"tau_ratio": ell.tau_ratio(d).to_json(),
+            "tau_closed_form": ell.tau_closed_form(d).to_json(),
+            "ber_check_residual": ell.ber_check_residual(d),
+            "convention_factor": ell.convention_factor(d).to_json()}
+
+
+def test_config_sets_tau_elliptic_theta_N(tmp_path, capsys):
+    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
+    assert main(["--config", cfg, "tau-elliptic", "--tau=0,0.5"]) == 0
+    configured = capsys.readouterr().out
+    assert main(["tau-elliptic", "--tau=0,0.5"]) == 0
+    default = capsys.readouterr().out
+    assert json.loads(configured) == _tau_elliptic_json(0.5j, 1)
+    assert json.loads(default) == _tau_elliptic_json(0.5j, None)
+    assert configured != default
+
+
+# -- one parser per process ---------------------------------------------------------
+
+SUBCOMMANDS = ["ber", "solve", "quasidet", "theta", "super-theta", "period-q",
+               "dual-cohomology", "bilinear-check", "rr", "sgr-tau", "sgr-baker",
+               "tau-elliptic", "acceptance"]
+
+
+def _outcome(parse_or_main, argv, capsys):
+    """(exit code, stdout, stderr) of one call, with SystemExit read as its code."""
+    capsys.readouterr()
+    try:
+        code = parse_or_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+
+    def rebuilt():
+        raise AssertionError("main reached cli.build_parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    assert main(["rr", "--degL", "3", "--g", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"even": 2, "odd": 2}
+
+
+def test_shared_parser_calls_match_a_fresh_parser(monkeypatch, tmp_path, capsys):
+    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
+    plain = _write_json(tmp_path / "plain.json", data)
+    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
+    bad = tmp_path / "bad.json"
+    bad.write_text("this is not json")
+    singular = _write_json(tmp_path / "singular.json", {"matrix": {
+        "rows": [0, 1], "cols": [0, 1],
+        "entries": [[{"n": 1, "terms": [{"mask": [1], "re": 1, "im": 0}]}]]}})
+    calls = [["--config", cfg, "theta", "--json", plain], ["theta", "--json", plain],
+             ["ber", "--json", str(bad)], ["ber", "--json", singular],
+             ["--config", cfg, "theta", "--json", plain], ["theta", "--json", plain]]
+    shared = [_outcome(main, argv, capsys) for argv in calls]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "_parser", cli.build_parser)  # a fresh parser on every call
+        fresh = [_outcome(main, argv, capsys) for argv in calls]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 3, 0, 0]
+    assert shared[0][1] != shared[1][1]  # the config reached the first call only
+
+
+@pytest.mark.parametrize("argv", [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS]
+                         + [[], ["nope"], ["--seed", "5", "acceptance"], ["rr"],
+                            ["rr", "--degL", "x", "--g", "1"]])
+def test_shared_parser_help_and_usage_errors_match_a_fresh_parser(argv, capsys):
+    main(["rr", "--degL", "1", "--g", "2"])  # the shared parser has served a call
+    want = _outcome(cli.build_parser().parse_args, argv, capsys)
+    assert want[0] in (0, 2)
+    assert _outcome(main, argv, capsys) == want
+    assert _outcome(main, argv, capsys) == want
+
+
+def test_config_flag_forms(tmp_path, capsys):
+    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
+    plain = _write_json(tmp_path / "plain.json", data)
+    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
+    outs = []
+    for prefix in (["--config", cfg], ["--conf", cfg], [f"--config={cfg}"], []):
+        assert main([*prefix, "theta", "--json", plain]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] != outs[3]
