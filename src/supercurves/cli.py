@@ -19,7 +19,7 @@ from . import elliptic as ell
 from . import jacobian as jac
 from . import sgr
 from .errors import SupercurvesError
-from .grassmann import GrassmannScalar
+from .grassmann import MAX_GENERATORS, GrassmannScalar
 from .supermatrix import SuperLinearSystem, SuperMatrix, berezinian, berezinian_star, \
     oracle_solve, quasideterminant, solve_cramer
 from .theta import ThetaContext, build_super_theta, check_multipliers, theta
@@ -28,15 +28,15 @@ from .theta import ThetaContext, build_super_theta, check_multipliers, theta
 # config-file fallbacks for fields the input JSON may omit, and the acceptance seed
 _CONFIG: dict = {}
 _CONFIG_KEYS = {"n_generators", "seed", "theta_N", "window_M"}
+# integer keys checked when the file is loaded: key -> (least, greatest or None)
+_CONFIG_INTEGERS = {"n_generators": (0, MAX_GENERATORS), "seed": (0, None), "theta_N": (1, None),
+                    "window_M": (4, None)}
 
 
 def _apply_config(data: dict) -> dict:
-    if "n" not in data and "n_generators" in _CONFIG:
-        data = {**data, "n": int(_CONFIG["n_generators"])}
-    if "N" not in data and "theta_N" in _CONFIG:
-        data = {**data, "N": int(_CONFIG["theta_N"])}
-    if "window_M" not in data and "window_M" in _CONFIG:
-        data = {**data, "window_M": int(_CONFIG["window_M"])}
+    for key, field in (("n_generators", "n"), ("theta_N", "N"), ("window_M", "window_M")):
+        if field not in data and key in _CONFIG:
+            data = {**data, field: _CONFIG[key]}
     return data
 
 
@@ -219,7 +219,7 @@ def cmd_tau_elliptic(args) -> None:
         tau_modulus=complex(*args.tau), delta=delta,
         a=GrassmannScalar.scalar(n, complex(*args.a)), alpha=alpha,
         zeta=GrassmannScalar.scalar(n, complex(*args.zeta)), n=n,
-        theta_N=int(_CONFIG["theta_N"]) if "theta_N" in _CONFIG else None)
+        theta_N=_CONFIG.get("theta_N"))
     _emit({"tau_ratio": ell.tau_ratio(d).to_json(),
            "tau_closed_form": ell.tau_closed_form(d).to_json(),
            "ber_check_residual": ell.ber_check_residual(d),
@@ -230,7 +230,7 @@ def cmd_acceptance(args) -> None:
     from . import acceptance  # imported here: no other subcommand pays for compiling it
 
     # the explicit flag wins over the config file, which wins over seed 0
-    seed = args.seed if args.seed is not None else int(_CONFIG.get("seed", 0))
+    seed = args.seed if args.seed is not None else _CONFIG.get("seed", 0)
     summary = acceptance.run_all(seed=seed, echo=True)
     _emit({"all_passed": summary["all_passed"], "seed": summary["seed"],
            "results": [{"name": r["name"], "passed": r["passed"], "detail": r["detail"]}
@@ -305,9 +305,13 @@ def main(argv=None) -> int:
         if unknown:
             print(f"bad config: unknown keys {unknown}", file=sys.stderr)
             return 2
-        if "window_M" in cfg and int(cfg["window_M"]) < 4:
-            print("bad config: window_M must be >= 4", file=sys.stderr)
-            return 2
+        for key, (low, high) in _CONFIG_INTEGERS.items():
+            v = cfg.get(key, low)
+            if (isinstance(v, bool) or not isinstance(v, int) or v < low
+                    or high is not None and v > high):
+                want = f">= {low}" if high is None else f"in [{low}, {high}]"
+                print(f"bad config: {key} must be an integer {want}, got {v!r}", file=sys.stderr)
+                return 2
     _CONFIG.clear()
     _CONFIG.update(cfg)
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -15,7 +15,7 @@ a single-valued function of a on the Jacobian lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Tuple
 
 import numpy as np
@@ -39,6 +39,8 @@ class SuperEllipticData:
     zeta: GrassmannScalar
     n: int = 2
     theta_N: int | None = None
+    # the Theta_11 context and the (tau_modulus, theta_N, n) it was built for
+    _theta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tau_modulus = complex(self.tau_modulus)
@@ -56,8 +58,13 @@ class SuperEllipticData:
                 raise ParityError(f"{name} must be even")
 
     def context(self) -> ThetaContext:
-        return ThetaContext(genus=1, Z_red=np.array([[self.tau_modulus]]),
-                            N=self.theta_N, characteristic=CHAR_ODD, n_gens=self.n)
+        """The Theta_11 context, built once and again only when tau_modulus, theta_N or n change."""
+        key = (self.tau_modulus, self.theta_N, self.n)
+        if self._theta is None or self._theta[0] != key:
+            ctx = ThetaContext(genus=1, Z_red=np.array([[self.tau_modulus]]), N=self.theta_N,
+                               characteristic=CHAR_ODD, n_gens=self.n)
+            self._theta = (key, ctx)
+        return self._theta[1]
 
 
 def _theta_ratios(ctx: ThetaContext, x: GrassmannScalar
@@ -128,8 +135,6 @@ def ber_check_residual(d: SuperEllipticData) -> float:
 
 def convention_factor(d: SuperEllipticData) -> GrassmannScalar:
     """ber(B) * tau_ratio at alpha*delta = 0; unity confirms the conventions match."""
-    stripped = SuperEllipticData(tau_modulus=d.tau_modulus,
-                                 delta=GrassmannScalar.zero(d.n),
-                                 a=d.a, alpha=GrassmannScalar.zero(d.n),
-                                 zeta=d.zeta, n=d.n, theta_N=d.theta_N)
+    stripped = replace(d, delta=GrassmannScalar.zero(d.n), alpha=GrassmannScalar.zero(d.n))
+    stripped._theta = d._theta  # same modulus, cap and n: the context carries over
     return berezinian(baker_matrix(stripped)) * tau_ratio(stripped)

@@ -16,6 +16,19 @@ reaches is one complex vector over the truncated lattice.
 One argument z costs one lattice pass (``theta_jet``): Theta and every z-derivative
 d^m Theta it needs are weight rows prod_j (2 pi i n_j)^{m_j} on the same sum.
 
+The lattice is an ellipsoid.  With Y = Im Z_red and c = Y^-1 Im z, the term at
+P = n + a has modulus exp(pi c^t Y c - pi (P + c)^t Y (P + c)) times its weights,
+so the sum is concentrated around P = -c.  The radius R comes from a proven tail
+bound (``_tail``): outside pi (P + c)^t Y (P + c) <= R^2 the terms add at most
+2^-52 of the weight scale at the centre, for derivatives of order <= 4 and soul
+products of degree <= n.  The points are enumerated once per generator count n,
+as the ellipsoid of radius R + r around -a, where r bounds the distance from c
+to round(c); shifted by -round(c) they cover the ellipsoid of radius R around
+the exact centre for every z.  The forms pi i P^t Z P are cached per integer
+shift, so z, z + e_j and z + Z e_j share them.  An explicit N caps the points at
+|n_i + round(c)_i| <= N.  ``ThetaContext.truncation`` reports R, the point count
+and a bound on the omitted terms at a given argument.
+
 The odd characteristic Theta_11 is realized by the half-integer shift of the
 same sum.  Super theta functions are built by repeatedly applying
 
@@ -27,6 +40,7 @@ times Theta.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
@@ -42,23 +56,73 @@ PI_I = 1j * math.pi
 CHAR_PLAIN = "0"
 CHAR_ODD = "11"
 _MAX_DERIVATIVE_ORDER = 4
+_TAIL_TARGET = 2.0 ** -52  # omitted share of the weight scale at the centre
+_REPORT_MARGIN = 2.0       # the error report sums the omitted points this far out exactly
+_PLAN_CACHE = 32           # integer shifts kept per context
 
 
-def default_truncation(Z_red: np.ndarray) -> int:
-    """The cube radius N = max(8, ceil(5 / sqrt(lambda_min(Im Z)))).
+def _power(p, k: int) -> np.ndarray:
+    """The k-th power of the polynomial p (ascending coefficients)."""
+    out = np.ones(1)
+    for _ in range(k):
+        out = np.convolve(out, p)
+    return out
 
-    A heuristic, not a tail bound: it counts neither the polynomial weights
-    of derivatives nor the degree of the soul expansion.
+
+def _add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    out = np.zeros(max(len(p), len(q)))
+    out[:len(p)] += p
+    out[:len(q)] += q
+    return out
+
+
+def _gauss_moments(R: float, count: int) -> np.ndarray:
+    """int_R^inf r^j exp(-r^2) dr for j < count, by the recurrence
+    I_j = (R^(j-1) exp(-R^2) + (j-1) I_(j-2)) / 2."""
+    e = math.exp(-R * R)
+    out = [0.5 * math.sqrt(math.pi) * math.erfc(R), 0.5 * e]
+    for j in range(2, count):
+        out.append(0.5 * (R ** (j - 1) * e + (j - 1) * out[j - 2]))
+    return np.array(out[:count])
+
+
+def _tail(g: int, rho: float, R: float, weight: np.ndarray) -> float:
+    """A bound on sum Q(|v|) exp(-|v|^2) over the points v with |v| > R of a shifted
+    g-dimensional lattice whose points lie at least rho apart; Q = ``weight``, with
+    ascending coefficients, all >= 0.
+
+    The balls of radius rho/2 around the points are disjoint, so at most
+    M(r) = ((2r + rho)/rho)^g points lie within r.  Where h(r) = Q(r) exp(-r^2)
+    decreases, which holds once R^2 >= deg Q / 2, summation by parts gives
+    sum_{|v|>R} h(|v|) <= M(R) h(R) + int_R^inf M'(r) h(r) dr.
     """
-    lam = float(np.linalg.eigvalsh(Z_red.imag).min())
-    if lam <= 0:
-        raise DomainError("Im Z_red is not positive definite")
-    return max(8, math.ceil(5.0 / math.sqrt(lam)))
+    if R * R < (len(weight) - 1) / 2:
+        return math.inf
+    shell = np.convolve(_power([rho / 2, 1.0], g - 1), weight)
+    edge = np.polyval(weight[::-1], R) * math.exp(-R * R) * (R + rho / 2) ** g
+    return (2 / rho) ** g * (edge + g * float(shell @ _gauss_moments(R, len(shell))))
+
+
+@functools.lru_cache(maxsize=256)
+def _radius(g: int, degree: int, rho: float) -> float:
+    """The least R, to within 1e-3, whose tail under the weight (1 + r/rho)^degree is
+    at most _TAIL_TARGET.  A point at |v| from the centre has |P| <= |v|/rho + |c|,
+    so that weight covers every polynomial weight of that degree up to a factor
+    that depends on c and the souls alone."""
+    weight = _power([1.0, 1 / rho], degree)
+    low = math.sqrt(degree / 2) + 1e-6
+    R = low + 1.0
+    for _ in range(6):  # R^2 <- log(A(R) / target) for tail = A(R) exp(-R^2)
+        step = math.log(_tail(g, rho, R, weight) / _TAIL_TARGET)
+        R = max(math.sqrt(max(R * R + step, 0.0)), low)
+    while _tail(g, rho, R, weight) > _TAIL_TARGET:
+        R += 1e-3
+    return R
 
 
 @dataclass
 class ThetaContext:
-    """Evaluation context: reduced period matrix, nilpotent augmentation, cutoff."""
+    """Evaluation context: reduced period matrix, nilpotent augmentation, optional cap N."""
 
     genus: int
     Z_red: np.ndarray
@@ -72,13 +136,19 @@ class ThetaContext:
         g = self.genus
         if self.Z_red.shape != (g, g):
             raise DimensionError(f"Z_red must be {g}x{g}")
-        N = default_truncation(self.Z_red)  # also checks that Im Z_red > 0
+        self._Y = (self.Z_red.imag + self.Z_red.imag.T) / 2
+        lam = np.linalg.eigvalsh(self._Y)
+        if lam[0] <= 0:
+            raise DomainError("Im Z_red is not positive definite")
         if self.characteristic not in (CHAR_PLAIN, CHAR_ODD):
             raise DomainError(f"unsupported characteristic {self.characteristic!r}")
-        if self.N is None:
-            self.N = N
-        if self.N < 1:
+        if self.N is not None and self.N < 1:
             raise DomainError("truncation radius must be >= 1")
+        self._Y_inv = np.linalg.inv(self._Y)
+        # in the metric pi x^t Y x no two lattice points lie closer than rho, and no
+        # centre lies farther than _offset from its rounding, as |f|^2 <= g/4 for f = c - round(c)
+        self._rho = math.sqrt(math.pi * lam[0])
+        self._offset = math.sqrt(math.pi * lam[-1] * g / 4)
         # the monomials of Z_soul that occur, and their g x g coefficient slices
         self._soul_masks: List[int] = []
         self._soul_coeffs = np.zeros((0, g, g), dtype=complex)
@@ -92,7 +162,8 @@ class ThetaContext:
                 raise ParityError("Z_soul entries must be even with zero body")
             self._soul_masks = S.any(axis=(1, 2)).nonzero()[0].tolist()
             self._soul_coeffs = S[self._soul_masks]
-        self._lattice_cache: Dict[int, tuple] = {}
+        self._point_sets: Dict[int, Tuple[np.ndarray, float]] = {}
+        self._plans: Dict[tuple, tuple] = {}
 
     # characteristic offsets: Theta[a,b](z) = sum exp(pi i P Z P + 2 pi i P (z+b)), P = n+a
     def _char_offsets(self) -> Tuple[float, float]:
@@ -100,22 +171,76 @@ class ThetaContext:
             return 0.5, 0.5
         return 0.0, 0.0
 
-    def lattice(self) -> np.ndarray:
-        return self._lattice_plan()[0]
+    def _ellipsoid(self, radius: float) -> np.ndarray:
+        """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row."""
+        a, _ = self._char_offsets()
+        half = (radius * np.sqrt(np.diag(self._Y_inv) / math.pi)).tolist()
+        low = [math.ceil(-h - a) for h in half]
+        X = np.indices([math.floor(h - a) - lo + 1 for h, lo in zip(half, low)]
+                       ).reshape(self.genus, -1).T + np.add(low, a)
+        return X[np.einsum("ij,jk,ik->i", X, self._Y, X) <= radius * radius / math.pi]
 
-    def _lattice_plan(self) -> tuple:
-        """The points P, pi i P^t Z_red P at each, and the soul forms pi i P^t Z_m P
-        of the monomials m of Z_soul, keyed by m: all of them z-independent."""
-        N = self.N
-        plan = self._lattice_cache.get(N)
+    def _points(self, n: int) -> Tuple[np.ndarray, float]:
+        """The summed points m + a around 0 at generator count n, capped by N, and the
+        radius R that they cover around every centre when N is None."""
+        hit = self._point_sets.get(n)
+        if hit is None:
+            # a lower bound of rho on a grid of 1/16 octave, so nearby contexts share R
+            rho = 2.0 ** (math.floor(16 * math.log2(self._rho)) / 16)
+            R = _radius(self.genus, _MAX_DERIVATIVE_ORDER + 2 * (n // 2), rho)
+            X = self._ellipsoid(R + self._offset)
+            if self.N is not None:
+                X = X[np.abs(X - self._char_offsets()[0]).max(axis=1) <= self.N]
+            hit = self._point_sets[n] = (X, R)
+        return hit
+
+    def _shift(self, z0: np.ndarray) -> Tuple[np.ndarray, tuple]:
+        """The centre c = Y^-1 Im z of the terms at body z0, and round(c)."""
+        c = self._Y_inv @ z0.imag
+        return c, tuple(np.rint(c).astype(int).tolist())
+
+    def _plan(self, shift: tuple, n: int) -> tuple:
+        """The points P = m + a - shift, pi i P^t Z_red P at each, and the soul forms
+        pi i P^t Z_m P of the monomials m of Z_soul, keyed by m: one lattice pass."""
+        plan = self._plans.get((shift, n))
         if plan is None:
-            g = self.genus
-            a, _ = self._char_offsets()
-            P = np.indices((2 * N + 1,) * g, dtype=float).reshape(g, -1).T - (N - a)
-            quad, *forms = [PI_I * np.einsum("ij,jk,ik->i", P, C, P)
-                            for C in (self.Z_red, *self._soul_coeffs)]
-            plan = self._lattice_cache[N] = (P, quad, dict(zip(self._soul_masks, forms)))
+            if len(self._plans) >= _PLAN_CACHE:
+                self._plans.clear()
+            P = self._points(n)[0] - shift
+            plan = self._plans[shift, n] = (P, *_forms(self, P))
         return plan
+
+    def lattice(self, z: Sequence | None = None) -> np.ndarray:
+        """The points P = n + a that the pass at argument z sums (default: z = 0)."""
+        if z is None:
+            return self._plan((0,) * self.genus, self.n_gens)[0]
+        z0, _, n = _split_argument(self, z)
+        return self._plan(self._shift(z0)[1], n)[0]
+
+    def truncation(self, z: Sequence | None = None,
+                   derivs: Sequence[Sequence[int]] | None = None) -> dict:
+        """How the lattice sum is truncated, computed only when asked.
+
+        ``radius`` is the R that the points cover around every centre when N is None,
+        ``points`` their count.  Given z, ``shift`` is round(c) and ``tail_bound``
+        bounds, for each multi-index m in ``derivs`` (default: Theta alone), the
+        largest Lambda coefficient of the terms of d^m Theta that the pass at z omits.
+        """
+        if z is None:
+            X, R = self._points(self.n_gens)
+            return {"radius": R, "points": len(X)}
+        rows = _derivative_rows(self, [(0,) * self.genus] if derivs is None else derivs)
+        z0, _, n = _split_argument(self, z)
+        X, R = self._points(n)
+        return {"radius": R, "points": len(X), "shift": list(self._shift(z0)[1]),
+                "tail_bound": _tail_bounds(self, z, rows)}
+
+
+def _forms(ctx: ThetaContext, P: np.ndarray) -> tuple:
+    """pi i P^t Z_red P at each point, and the soul forms keyed by monomial."""
+    quad, *forms = [PI_I * np.einsum("ij,jk,ik->i", P, C, P)
+                    for C in (ctx.Z_red, *ctx._soul_coeffs)]
+    return quad, dict(zip(ctx._soul_masks, forms))
 
 
 def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, Dict[int, np.ndarray], int]:
@@ -140,20 +265,15 @@ def _split_argument(ctx: ThetaContext, z: Sequence) -> Tuple[np.ndarray, Dict[in
     return z0, souls, n
 
 
-def _lattice_sum(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[int], complex]]
-                 ) -> List[GrassmannScalar]:
-    """c sum_n prod_(j in idx) n_j exp(pi i n^t Z n + 2 pi i n^t z) for each row (idx, c).
+def _exponentials(P: np.ndarray, quad: np.ndarray, souls: Dict[int, np.ndarray],
+                  z0: np.ndarray, z_souls: Dict[int, np.ndarray], b: float) -> Dict[int, np.ndarray]:
+    """exp(pi i P^t Z P + 2 pi i P^t (z + b)) at each point P, as monomial mask -> vector.
 
-    The soul of the exponent at n is S(n) = sum_m s_m(n) e_m over even
-    monomials e_m.  These commute and square to zero, so exp S(n) =
-    prod_m (1 + s_m(n) e_m) exactly: the product is formed factor by factor,
-    one lattice vector for each monomial it reaches, and the weight rows meet
-    all of them in one matrix product.  Without souls the product is empty.
+    The soul of the exponent at P is S(P) = sum_m s_m(P) e_m over even monomials
+    e_m.  These commute and square to zero, so exp S(P) = prod_m (1 + s_m(P) e_m)
+    exactly: the product is formed factor by factor, one vector for each monomial
+    it reaches.  Without souls the product is empty.
     """
-    z0, z_souls, n = _split_argument(ctx, z)
-    P = ctx.lattice()
-    _, quad, souls = ctx._lattice_plan()
-    _, b = ctx._char_offsets()
     souls = dict(souls)
     for m, c in z_souls.items():
         s = P @ (TWO_PI_I * c)
@@ -166,25 +286,88 @@ def _lattice_sum(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[i
             t = v * s if sign_of_merge(k, m) > 0 else -(v * s)
             km = k | m
             terms[km] = terms[km] + t if km in terms else t
+    return terms
+
+
+def _weights(P: np.ndarray, rows: Sequence[Tuple[Sequence[int], complex]]) -> np.ndarray:
+    """prod_(j in idx) P_j at each point, one row per (idx, c)."""
     W = np.ones((len(rows), len(P)))
     for w, (idx, _) in zip(W, rows):
         for j in idx:
             w *= P[:, j]
-    sums = (W @ np.array(list(terms.values())).T).tolist()
+    return W
+
+
+def _lattice_sum(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[int], complex]]
+                 ) -> List[GrassmannScalar]:
+    """c sum_n prod_(j in idx) n_j exp(pi i n^t Z n + 2 pi i n^t z) for each row (idx, c).
+
+    The weight rows meet every monomial vector of the exponentials in one matrix product.
+    """
+    z0, z_souls, n = _split_argument(ctx, z)
+    P, quad, souls = ctx._plan(ctx._shift(z0)[1], n)
+    terms = _exponentials(P, quad, souls, z0, z_souls, ctx._char_offsets()[1])
+    sums = (_weights(P, rows) @ np.array(list(terms.values())).T).tolist()
     return [GrassmannScalar(n, {m: c * v for m, v in zip(terms, row)})
             for (_, c), row in zip(rows, sums)]
 
 
-def theta_jet(ctx: ThetaContext, z: Sequence, derivs: Sequence[Sequence[int]]
-              ) -> List[GrassmannScalar]:
-    """d^|m| Theta / dz^m at z for each multi-index m in ``derivs``, from one lattice pass."""
+def _tail_bounds(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[int], complex]]
+                 ) -> List[float]:
+    """For each row, a bound on the largest Lambda coefficient of the terms that the
+    pass at z omits.
+
+    The omitted points out to radius R + r + _REPORT_MARGIN around -a are summed in
+    absolute value, coefficient by coefficient.  Every point beyond lies farther than
+    R + r + _REPORT_MARGIN - |f| from the centre, f = c - round(c), and has
+    |P| <= u = |v|/rho + |c| in the metric pi x^t Y x.  There a row's weight is at
+    most |coef| u^d, and the soul product, whose l1 norm bounds its coefficients,
+    at most sum_(j <= n/2) sigma^j / j! with sigma = alpha u + beta u^2,
+    alpha = 2 pi sum_m |z_m| and beta = pi sum_m |Z_m|_2; ``_tail`` bounds their sum.
+    """
+    z0, z_souls, n = _split_argument(ctx, z)
+    g = ctx.genus
+    c, shift = ctx._shift(z0)
+    X, R = ctx._points(n)
+    outer = R + ctx._offset + _REPORT_MARGIN
+    kept = set(map(tuple, X.tolist()))
+    omitted = np.array([x for x in ctx._ellipsoid(outer).tolist() if tuple(x) not in kept]
+                       ).reshape(-1, g)
+    P = omitted - shift
+    quad, souls = _forms(ctx, P)
+    b = ctx._char_offsets()[1]
+    terms = np.abs(np.array(list(_exponentials(P, quad, souls, z0, z_souls, b).values())))
+    coefs = np.abs([coef for _, coef in rows])
+    near = coefs * (np.abs(_weights(P, rows)) @ terms.T).max(axis=1, initial=0.0)
+
+    f = c - np.array(shift)
+    reach = outer - math.sqrt(math.pi * f @ ctx._Y @ f)
+    u = np.array([float(np.linalg.norm(c)), 1 / ctx._rho])
+    alpha = 2 * math.pi * sum(float(np.linalg.norm(v)) for v in z_souls.values())
+    beta = math.pi * sum(float(np.linalg.norm(C, 2)) for C in ctx._soul_coeffs)
+    sigma = _add(alpha * u, beta * _power(u, 2))
+    soul = np.trim_zeros(functools.reduce(_add, (_power(sigma, j) / math.factorial(j)
+                                                 for j in range(n // 2 + 1))), "b")
+    scale = math.exp(math.pi * c @ ctx._Y @ c)
+    return [float(near_r + scale * k * _tail(g, ctx._rho, reach,
+                                             np.convolve(_power(u, len(idx)), soul)))
+            for near_r, k, (idx, _) in zip(near, coefs, rows)]
+
+
+def _derivative_rows(ctx: ThetaContext, derivs: Sequence[Sequence[int]]) -> list:
+    """The weight rows (idx, (2 pi i)^|m|) of the multi-indices m, checked."""
     for m in derivs:
         if len(m) != ctx.genus:
             raise DimensionError("derivative multi-index has wrong length")
         if sum(m) > _MAX_DERIVATIVE_ORDER:
             raise DomainError(f"derivative order above {_MAX_DERIVATIVE_ORDER} unsupported")
-    return _lattice_sum(ctx, z, [([j for j, mj in enumerate(m) for _ in range(mj)],
-                                  TWO_PI_I ** sum(m)) for m in derivs])
+    return [([j for j, mj in enumerate(m) for _ in range(mj)], TWO_PI_I ** sum(m)) for m in derivs]
+
+
+def theta_jet(ctx: ThetaContext, z: Sequence, derivs: Sequence[Sequence[int]]
+              ) -> List[GrassmannScalar]:
+    """d^|m| Theta / dz^m at z for each multi-index m in ``derivs``, from one lattice pass."""
+    return _lattice_sum(ctx, z, _derivative_rows(ctx, derivs))
 
 
 def theta(ctx: ThetaContext, z: Sequence, deriv: Sequence[int] | None = None) -> GrassmannScalar:

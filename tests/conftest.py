@@ -30,17 +30,17 @@ def algebra():
 
 @pytest.fixture
 def lattice_reads(monkeypatch):
-    """A list that gains one entry per ThetaContext.lattice call, i.e. per lattice pass."""
+    """A list that gains one entry per ThetaContext._plan call, i.e. per lattice pass."""
     from supercurves.theta import ThetaContext
 
     reads = []
-    original = ThetaContext.lattice
+    original = ThetaContext._plan
 
-    def counted(self):
+    def counted(self, *args):
         reads.append(self)
-        return original(self)
+        return original(self, *args)
 
-    monkeypatch.setattr(ThetaContext, "lattice", counted)
+    monkeypatch.setattr(ThetaContext, "_plan", counted)
     return reads
 
 

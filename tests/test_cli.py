@@ -182,6 +182,30 @@ def test_config_rejects_small_window(tmp_path):
     assert main(["--config", cfg, "rr", "--degL", "1", "--g", "2"]) == 2
 
 
+@pytest.mark.parametrize("cfg", [{"theta_N": 0}, {"theta_N": 1.5}, {"theta_N": "x"},
+                                 {"theta_N": True}, {"theta_N": None}, {"n_generators": -1},
+                                 {"n_generators": 13}, {"n_generators": 2.0},
+                                 {"n_generators": "4"}, {"n_generators": False},
+                                 {"window_M": 4.5}, {"window_M": "x"}, {"seed": 1.5},
+                                 {"seed": True}, {"seed": -1}])
+def test_config_rejects_bad_integers(cfg, tmp_path, capsys):
+    # checked when the file is loaded, before any input is read, whatever the subcommand
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    for subcommand in (["rr", "--degL", "1", "--g", "2"], ["tau-elliptic"],
+                       ["theta", "--json", "missing.json"]):
+        assert main(["--config", path, *subcommand]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"bad config: {next(iter(cfg))} must be an integer")
+
+
+@pytest.mark.parametrize("cfg", [{"theta_N": 1}, {"theta_N": 30}, {"n_generators": 0},
+                                 {"n_generators": 12}, {"window_M": 4}, {"seed": 0}])
+def test_config_accepts_integers_in_range(cfg, tmp_path, capsys):
+    path = _write_json(tmp_path / "cfg.json", cfg)
+    assert main(["--config", path, "rr", "--degL", "1", "--g", "2"]) == 0
+
+
 def test_config_fills_theta_N(tmp_path, capsys):
     data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
     plain = _write_json(tmp_path / "plain.json", data)

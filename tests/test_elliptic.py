@@ -122,6 +122,35 @@ def test_theta_ratios_read_the_lattice_once(lattice_reads):
     assert (lt2 - (want2 - want1 * want1)).norm_inf() < 1e-12
 
 
+def test_one_context_per_data_object(monkeypatch):
+    built = []
+
+    class Counted(ThetaContext):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(ell, "ThetaContext", Counted)
+    d = data()
+    calls = (ell.baker_matrix, ell.tau_ratio, ell.tau_closed_form, ell.ber_check_residual,
+             ell.convention_factor)
+    first = [f(d) for f in calls]
+    assert len(built) == 1
+    # a changed modulus, cap or generator count gets a context of its own, never a stale one
+    wider = {k: getattr(d, k).embed(3) for k in ("a", "alpha", "delta", "zeta")}
+    for change in ({"tau_modulus": 1.7j}, {"theta_N": 1}, {"n": 3, **wider}):
+        for k, v in change.items():
+            setattr(d, k, v)
+        count = len(built)
+        fresh = ell.SuperEllipticData(tau_modulus=d.tau_modulus, delta=d.delta, a=d.a,
+                                      alpha=d.alpha, zeta=d.zeta, n=d.n, theta_N=d.theta_N)
+        assert ell.tau_ratio(d) == ell.tau_ratio(fresh)
+        assert len(built) == count + 2
+        assert ell.tau_closed_form(d) == ell.tau_closed_form(fresh)
+        assert len(built) == count + 2
+    assert ell.tau_ratio(d) != first[1]
+
+
 @pytest.mark.parametrize("im_tau", [40.0, 200.0])
 def test_theta_ratios_are_scale_free(im_tau):
     # Theta_11 carries the factor exp(pi i tau / 4): |Theta| is 4e-14 at Im tau = 40

@@ -9,7 +9,6 @@ from supercurves.theta import (
     ThetaContext,
     build_super_theta,
     check_multipliers,
-    default_truncation,
     theta,
     theta_Z_derivative,
     theta_derivative,
@@ -77,13 +76,46 @@ def test_log_derivative_simple_pole_at_zero():
     assert abs(c_minus1 - 1.0) < 1e-3
 
 
+def _cube_sum(Z, z, orders, a=0.0, center=None, half=14):
+    """sum_P prod_j (2 pi i P_j)^m_j exp(pi i P^t Z P + 2 pi i P^t (z + a)) over P = n + a with
+    |n_i - center_i| <= half, for each multi-index m in ``orders``, in plain numpy."""
+    g = len(z)
+    center = np.zeros(g) if center is None else np.asarray(center)
+    P = np.indices((2 * half + 1,) * g).reshape(g, -1).T - half + center + a
+    terms = np.exp(1j * np.pi * np.einsum("ij,jk,ik->i", P, Z, P)
+                   + 2j * np.pi * P @ (np.asarray(z) + a))
+    return [np.sum(np.prod((2j * np.pi * P) ** np.array(m), axis=1) * terms) for m in orders]
+
+
 def test_truncation_stability(ctx_g2):
+    # the ellipsoid against the same sum over the cube |n_i| <= 14
     z = [0.3 + 0.1j, -0.2 + 0.15j]
-    ctx_hi = ThetaContext(genus=2, Z_red=ctx_g2.Z_red, N=ctx_g2.N + 2)
-    assert (theta(ctx_g2, z) - theta(ctx_hi, z)).norm_inf() < 1e-10
-    d1 = theta_derivative(ctx_g2, z, (1, 0))
-    d2 = theta_derivative(ctx_hi, z, (1, 0))
-    assert (d1 - d2).norm_inf() < 1e-10
+    want, dwant = _cube_sum(ctx_g2.Z_red, z, [(0, 0), (1, 0)])
+    assert abs(theta(ctx_g2, z).body - want) < 1e-10
+    assert abs(theta_derivative(ctx_g2, z, (1, 0)).body - dwant) < 1e-10
+
+
+@pytest.mark.parametrize("characteristic", ["0", "11"])
+def test_shifted_plan_matches_a_large_cube(characteristic):
+    # at z + Z k the points are the cached ellipsoid moved by round(c) != 0
+    Z = np.array([[0.3 + 1.2j, 0.25 + 0.4j], [0.25 + 0.4j, -0.1 + 0.9j]])
+    ctx = ThetaContext(genus=2, Z_red=Z, characteristic=characteristic)
+    orders = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+    a = 0.5 if characteristic == "11" else 0.0
+    for k in ((1, 0), (0, 2), (2, -1)):
+        z = list(np.array([0.21 - 0.08j, -0.13 + 0.11j]) + Z @ np.array(k))
+        shift = ctx.truncation(z)["shift"]
+        assert shift == list(k)
+        want = _cube_sum(Z, z, orders, a=a, center=-np.array(shift), half=12)
+        for m, value, w in zip(orders, theta_jet(ctx, z, orders), want):
+            assert abs(value.body - w) < 1e-11 * abs(w), (k, m)
+
+
+def test_multiplier_arguments_share_the_cached_points():
+    # z, z + e_j and z + Z e_j: one integer shift for the first two, one more per j
+    f, z, images = _super_g3_two_alphas()
+    check_multipliers(f, z, images)
+    assert len(f.ctx._plans) == f.ctx.genus + 1
 
 
 def test_genus_one_against_mpmath():
@@ -102,9 +134,31 @@ def test_genus_one_against_mpmath():
         assert abs(theta_derivative(odd, [z], (1,)).body - dwant1) < 1e-8
 
 
-def test_default_truncation_tail_bound():
-    assert default_truncation(np.array([[0.5j]]).imag * 1j + np.array([[0.0]])) >= 8
-    assert default_truncation(np.array([[0.02j]])) > 8
+@pytest.mark.parametrize("k", [1, 2])
+def test_genus_one_against_mpmath_at_shifted_arguments(k):
+    # at z + k tau the centre c = Im z / Im tau rounds to k, so the points move by k
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 30
+    tau_mod = 0.3 + 1.1j
+    q = mp.exp(mp.pi * 1j * mp.mpc(tau_mod.real, tau_mod.imag))
+    plain = ThetaContext(genus=1, Z_red=np.array([[tau_mod]]))
+    odd = ThetaContext(genus=1, Z_red=np.array([[tau_mod]]), characteristic="11")
+    for z0 in (0.17 - 0.04j, 0.52 + 0.21j, -0.33 + 0.08j):
+        z = z0 + k * tau_mod
+        assert odd.truncation([z])["shift"] == plain.truncation([z])["shift"] == [k]
+        w = mp.pi * mp.mpc(z.real, z.imag)
+        want3 = complex(mp.jtheta(3, w, q))
+        assert abs(theta(plain, [z]).body - want3) < 1e-10 * abs(want3)
+        w0, w1, w2 = (-complex(mp.jtheta(1, w, q, derivative=d) * mp.pi ** d) for d in range(3))
+        t0, t1, t2 = (v.body for v in theta_jet(odd, [z], [(0,), (1,), (2,)]))
+        assert abs(t0 - w0) < 1e-10 * abs(w0)
+        assert abs(t1 - w1) < 1e-8 * abs(w1)
+        want_log2 = w2 / w0 - (w1 / w0) ** 2
+        assert abs(t2 / t0 - (t1 / t0) ** 2 - want_log2) < 1e-8 * abs(want_log2)
+        # Theta_11 is odd, and -z sits at the opposite shift
+        assert odd.truncation([-z])["shift"] == [-k]
+        assert abs(theta(odd, [-z]).body + t0) < 1e-12 * abs(t0)
 
 
 def test_taylor_consistency_single_nilpotent(ctx_g2):
@@ -316,14 +370,14 @@ def test_wrong_shift_is_detected(ctx_g2):
 # -- the soul product against the multiset Taylor sum ------------------------------
 
 
-def _reference_lattice_sum(ctx, z, weights, n):
-    """sum_n w_r(n) exp(pi i n^t Z n + 2 pi i n^t z) for each row of ``weights``, by the
-    multiset Taylor recursion over GrassmannScalar products that the soul product replaced."""
+def _reference_lattice_sum(ctx, z, weights, n, P):
+    """sum_P w_r(P) exp(pi i P^t Z P + 2 pi i P^t (z + b)) over the rows of P for each row of
+    ``weights``, by the multiset Taylor recursion over GrassmannScalar products that the soul
+    product replaced."""
     from supercurves.theta import PI_I, TWO_PI_I
 
     zg = [v.embed(n) if isinstance(v, GrassmannScalar) else GrassmannScalar.scalar(n, v)
           for v in z]
-    P = ctx.lattice()
     b = 0.5 if ctx.characteristic == "11" else 0.0
     quad = np.einsum("ij,jk,ik->i", P, ctx.Z_red, P)
     c = np.exp(PI_I * quad + TWO_PI_I * (P @ (np.array([v.body for v in zg]) + b)))
@@ -378,10 +432,10 @@ def test_soul_product_matches_the_taylor_sum(genus, n):
          for _ in range(genus)]
     derivs = [m for m in itertools.product(range(3), repeat=genus) if sum(m) <= 2]
     jk = (0, genus - 1)
-    P = ctx.lattice()
+    P = ctx.lattice(z)
     weights = np.array([np.prod((2j * np.pi * P) ** np.array(m), axis=1) for m in derivs]
                        + [1j * np.pi * P[:, jk[0]] * P[:, jk[1]]])
-    want = _reference_lattice_sum(ctx, z, weights, n)
+    want = _reference_lattice_sum(ctx, z, weights, n, P)
     got = theta_jet(ctx, z, derivs) + [theta_Z_derivative(ctx, z, jk)]
     for m, value, ref in zip(derivs + [jk], got, want):
         assert value.n == n
@@ -403,3 +457,63 @@ def test_soul_lattice_pass_makes_no_element_products(monkeypatch):
     values = theta_jet(ctx, z, [(0, 0), (1, 0), (1, 1)])
     assert all(len(v.terms) > 1 for v in values)
     assert theta_Z_derivative(ctx, z, (0, 1)).terms
+
+
+# -- the tail bound ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("shifted", [False, True])
+@pytest.mark.parametrize("N", [None, 2])
+def test_tail_bound_covers_the_omitted_terms(genus, shifted, N):
+    # the omitted terms, summed directly over the cube |n_i + shift_i| <= 9 less the kept
+    # points, against the reported bound for every derivative of order <= 2; Z and z
+    # both carry souls, and N = 2 cuts the ellipsoid so that the gap is far above roundoff
+    n = 4
+    rng = np.random.default_rng(60 + genus)
+    Z = np.diag(rng.uniform(0.9, 1.3, genus)) * 1j + 0.1 * rng.standard_normal((genus, genus))
+    Z = (Z + Z.T) / 2
+    Z_soul = [[_random_soul(rng, n, 0.05) for _ in range(genus)] for _ in range(genus)]
+    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul, N=N,
+                       characteristic="11" if genus == 1 else "0")
+    body = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.2, 0.2, genus)
+    if shifted:
+        body = body + Z @ np.arange(1, genus + 1)
+    z = [GrassmannScalar.scalar(n, complex(v)) + _random_soul(rng, n, 0.1) for v in body]
+    derivs = [m for m in itertools.product(range(3), repeat=genus) if sum(m) <= 2]
+    report = ctx.truncation(z, derivs)
+    assert (report["shift"] != [0] * genus) == shifted
+    a = 0.5 if genus == 1 else 0.0
+    kept = {tuple(p) for p in np.rint(ctx.lattice(z) - a).astype(int).tolist()}
+    cube = np.indices((19,) * genus).reshape(genus, -1).T - 9 - np.array(report["shift"])
+    omitted = np.array([p for p in cube.tolist() if tuple(p) not in kept]) + a
+    weights = np.array([np.prod((2j * np.pi * omitted) ** np.array(m), axis=1) for m in derivs])
+    gaps = [v.norm_inf() for v in _reference_lattice_sum(ctx, z, weights, n, omitted)]
+    for m, bound, gap in zip(derivs, report["tail_bound"], gaps):
+        assert bound >= gap > 0, m
+        assert bound <= 100 * gap, (m, bound / gap)
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_tail_formula_bounds_a_direct_sum(genus):
+    # the bound that sets R: sum over |v| > R of (1 + |v|/rho)^D exp(-|v|^2), v running
+    # over a shifted lattice whose points lie at least rho apart, summed directly
+    from supercurves.theta import _radius, _tail
+
+    rng = np.random.default_rng(80 + genus)
+    A = rng.standard_normal((genus, genus)) * 0.3 + np.eye(genus)
+    Y = A @ A.T
+    rho = np.sqrt(np.pi * np.linalg.eigvalsh(Y).min())
+    T = np.sqrt(np.pi) * np.linalg.cholesky(Y).T
+    for degree in (0, 4, 8):
+        weight = np.polynomial.polynomial.polypow([1.0, 1 / rho], degree)
+        R0 = _radius(genus, degree, rho)
+        for R in (R0 - 2, R0):
+            for _ in range(3):
+                half = 40 // genus
+                m = np.indices((2 * half + 1,) * genus).reshape(genus, -1).T - half
+                r = np.linalg.norm((m + rng.uniform(-0.5, 0.5, genus)) @ T.T, axis=1)
+                r = r[r > R]
+                direct = np.sum(np.polynomial.polynomial.polyval(r, weight) * np.exp(-r * r))
+                assert _tail(genus, rho, R, weight) >= direct > 0
+        assert _tail(genus, rho, R0, weight) <= 2.0 ** -52
