@@ -18,16 +18,18 @@ d^m Theta it needs are weight rows prod_j (2 pi i n_j)^{m_j} on the same sum.
 
 The lattice is an ellipsoid.  With Y = Im Z_red and c = Y^-1 Im z, the term at
 P = n + a has modulus exp(pi c^t Y c - pi (P + c)^t Y (P + c)) times its weights,
-so the sum is concentrated around P = -c.  The radius R comes from a proven tail
-bound (``_tail``): outside pi (P + c)^t Y (P + c) <= R^2 the terms add at most
-2^-52 of the weight scale at the centre, for derivatives of order <= 4 and soul
-products of degree <= n.  The points are enumerated once per generator count n,
-as the ellipsoid of radius R + r around -a, where r bounds the distance from c
-to round(c); shifted by -round(c) they cover the ellipsoid of radius R around
-the exact centre for every z.  The forms pi i P^t Z P are cached per integer
-shift, so z, z + e_j and z + Z e_j share them.  An explicit N caps the points at
-|n_i + round(c)_i| <= N.  ``ThetaContext.truncation`` reports R, the point count
-and a bound on the omitted terms at a given argument.
+so the sum is concentrated around P = -c.  No centre lies farther than r from
+its rounding round(c) in the metric pi x^t Y x, so the largest term has modulus
+at least exp(pi c^t Y c - r^2).  The radius R comes from a proven tail bound
+(``_log_tail``): outside pi (P + c)^t Y (P + c) <= R^2 the terms add at most
+2^-52 of that largest term, for derivatives of order <= 4 and soul products of
+degree <= n.  The points are enumerated once per generator count n, as the
+ellipsoid of radius R + r around -a; shifted by -round(c) they cover the
+ellipsoid of radius R around the exact centre for every z.  The forms
+pi i P^t Z P are cached per integer shift, so z, z + e_j and z + Z e_j share
+them.  An explicit N caps the points at |n_i + round(c)_i| <= N.
+``ThetaContext.truncation`` reports R, the point count and a bound on the
+omitted terms at a given argument.
 
 The odd characteristic Theta_11 is realized by the half-integer shift of the
 same sum.  Super theta functions are built by repeatedly applying
@@ -56,66 +58,65 @@ PI_I = 1j * math.pi
 CHAR_PLAIN = "0"
 CHAR_ODD = "11"
 _MAX_DERIVATIVE_ORDER = 4
-_TAIL_TARGET = 2.0 ** -52  # omitted share of the weight scale at the centre
+_TAIL_TARGET = 2.0 ** -52  # omitted share of the largest term
 _REPORT_MARGIN = 2.0       # the error report sums the omitted points this far out exactly
 _PLAN_CACHE = 32           # integer shifts kept per context
 
 
-def _power(p, k: int) -> np.ndarray:
-    """The k-th power of the polynomial p (ascending coefficients)."""
-    out = np.ones(1)
-    for _ in range(k):
-        out = np.convolve(out, p)
-    return out
-
-
-def _add(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.zeros(max(len(p), len(q)))
-    out[:len(p)] += p
-    out[:len(q)] += q
-    return out
-
-
 def _gauss_moments(R: float, count: int) -> np.ndarray:
-    """int_R^inf r^j exp(-r^2) dr for j < count, by the recurrence
-    I_j = (R^(j-1) exp(-R^2) + (j-1) I_(j-2)) / 2."""
-    e = math.exp(-R * R)
-    out = [0.5 * math.sqrt(math.pi) * math.erfc(R), 0.5 * e]
+    """exp(R^2) int_R^inf r^j exp(-r^2) dr for j < count, by the recurrence
+    J_j = (R^(j-1) + (j-1) J_(j-2)) / 2.  Past R = 25, where exp(R^2) erfc(R) would
+    lose its range, J_0 is replaced by its upper bound 1/(2R)."""
+    first = 0.5 * math.sqrt(math.pi) * math.erfc(R) * math.exp(R * R) if R < 25 else 0.5 / R
+    out = [first, 0.5]
     for j in range(2, count):
-        out.append(0.5 * (R ** (j - 1) * e + (j - 1) * out[j - 2]))
+        out.append(0.5 * (R ** (j - 1) + (j - 1) * out[j - 2]))
     return np.array(out[:count])
 
 
-def _tail(g: int, rho: float, R: float, weight: np.ndarray) -> float:
-    """A bound on sum Q(|v|) exp(-|v|^2) over the points v with |v| > R of a shifted
-    g-dimensional lattice whose points lie at least rho apart; Q = ``weight``, with
-    ascending coefficients, all >= 0.
+def _log_tail(g: int, rho: float, R: float, weight: np.ndarray) -> float:
+    """The log of a bound on sum Q(|v|) exp(-|v|^2) over the points v with |v| > R of a
+    shifted g-dimensional lattice whose points lie at least rho apart; Q = ``weight``,
+    with ascending coefficients, all >= 0.
 
     The balls of radius rho/2 around the points are disjoint, so at most
     M(r) = ((2r + rho)/rho)^g points lie within r.  Where h(r) = Q(r) exp(-r^2)
     decreases, which holds once R^2 >= deg Q / 2, summation by parts gives
     sum_{|v|>R} h(|v|) <= M(R) h(R) + int_R^inf M'(r) h(r) dr.
     """
+    # numpy.polynomial is imported where the bound is formed, not with the package:
+    # its import costs about 0.6 MB and 3 ms in every process, theta or not
+    from numpy.polynomial import polynomial as poly
+
     if R * R < (len(weight) - 1) / 2:
         return math.inf
-    shell = np.convolve(_power([rho / 2, 1.0], g - 1), weight)
-    edge = np.polyval(weight[::-1], R) * math.exp(-R * R) * (R + rho / 2) ** g
-    return (2 / rho) ** g * (edge + g * float(shell @ _gauss_moments(R, len(shell))))
+    shell = poly.polymul(poly.polypow([rho / 2, 1.0], g - 1), weight)
+    edge = poly.polyval(R, weight) * (R + rho / 2) ** g
+    scaled = edge + g * float(shell @ _gauss_moments(R, len(shell)))
+    return g * math.log(2 / rho) + math.log(scaled) - R * R
 
 
 @functools.lru_cache(maxsize=256)
-def _radius(g: int, degree: int, rho: float) -> float:
+def _radius(g: int, degree: int, rho: float, offset: float) -> float:
     """The least R, to within 1e-3, whose tail under the weight (1 + r/rho)^degree is
-    at most _TAIL_TARGET.  A point at |v| from the centre has |P| <= |v|/rho + |c|,
-    so that weight covers every polynomial weight of that degree up to a factor
-    that depends on c and the souls alone."""
-    weight = _power([1.0, 1 / rho], degree)
+    at most _TAIL_TARGET exp(-offset^2).
+
+    A point at |v| from the centre has |P| <= |v|/rho + |c|, so that weight covers
+    every polynomial weight of that degree up to a factor that depends on c and the
+    souls alone.  The factor exp(-offset^2) makes the bound relative to the largest
+    term: its point lies within offset of the centre, so its modulus is at least
+    exp(-offset^2) times the scale exp(pi c^t Y c) of the centre.
+    """
+    from numpy.polynomial import polynomial as poly
+
+    weight = poly.polypow([1.0, 1 / rho], degree)
+    log_target = math.log(_TAIL_TARGET) - offset * offset
     low = math.sqrt(degree / 2) + 1e-6
-    R = low + 1.0
-    for _ in range(6):  # R^2 <- log(A(R) / target) for tail = A(R) exp(-R^2)
-        step = math.log(_tail(g, rho, R, weight) / _TAIL_TARGET)
+    R = max(low + 1.0, offset)
+    for _ in range(6):  # R^2 <- log(A(R)) - log_target for tail = A(R) exp(-R^2)
+        step = _log_tail(g, rho, R, weight) - log_target
         R = max(math.sqrt(max(R * R + step, 0.0)), low)
-    while _tail(g, rho, R, weight) > _TAIL_TARGET:
+    while _log_tail(g, rho, R, weight) > log_target:
         R += 1e-3
     return R
 
@@ -137,18 +138,19 @@ class ThetaContext:
         if self.Z_red.shape != (g, g):
             raise DimensionError(f"Z_red must be {g}x{g}")
         self._Y = (self.Z_red.imag + self.Z_red.imag.T) / 2
-        lam = np.linalg.eigvalsh(self._Y)
+        lam, V = np.linalg.eigh(self._Y)
         if lam[0] <= 0:
             raise DomainError("Im Z_red is not positive definite")
         if self.characteristic not in (CHAR_PLAIN, CHAR_ODD):
             raise DomainError(f"unsupported characteristic {self.characteristic!r}")
         if self.N is not None and self.N < 1:
             raise DomainError("truncation radius must be >= 1")
-        self._Y_inv = np.linalg.inv(self._Y)
+        self._Y_inv = (V / lam) @ V.T
         # in the metric pi x^t Y x no two lattice points lie closer than rho, and no
-        # centre lies farther than _offset from its rounding, as |f|^2 <= g/4 for f = c - round(c)
+        # centre lies farther than _offset from its rounding: f = c - round(c) has
+        # |f_i| <= 1/2, so pi f^t Y f <= pi/4 sum_ij |Y_ij|
         self._rho = math.sqrt(math.pi * lam[0])
-        self._offset = math.sqrt(math.pi * lam[-1] * g / 4)
+        self._offset = math.sqrt(math.pi / 4 * sum(map(abs, self._Y.ravel().tolist())))
         # the monomials of Z_soul that occur, and their g x g coefficient slices
         self._soul_masks: List[int] = []
         self._soul_coeffs = np.zeros((0, g, g), dtype=complex)
@@ -174,7 +176,7 @@ class ThetaContext:
     def _ellipsoid(self, radius: float) -> np.ndarray:
         """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row."""
         a, _ = self._char_offsets()
-        half = (radius * np.sqrt(np.diag(self._Y_inv) / math.pi)).tolist()
+        half = [radius * math.sqrt(d / math.pi) for d in np.diag(self._Y_inv).tolist()]
         low = [math.ceil(-h - a) for h in half]
         X = np.indices([math.floor(h - a) - lo + 1 for h, lo in zip(half, low)]
                        ).reshape(self.genus, -1).T + np.add(low, a)
@@ -185,9 +187,11 @@ class ThetaContext:
         radius R that they cover around every centre when N is None."""
         hit = self._point_sets.get(n)
         if hit is None:
-            # a lower bound of rho on a grid of 1/16 octave, so nearby contexts share R
+            # rho rounded down and the offset up to a grid of 1/16 octave, so nearby
+            # contexts share R
             rho = 2.0 ** (math.floor(16 * math.log2(self._rho)) / 16)
-            R = _radius(self.genus, _MAX_DERIVATIVE_ORDER + 2 * (n // 2), rho)
+            offset = 2.0 ** (math.ceil(16 * math.log2(self._offset)) / 16)
+            R = _radius(self.genus, _MAX_DERIVATIVE_ORDER + 2 * (n // 2), rho, offset)
             X = self._ellipsoid(R + self._offset)
             if self.N is not None:
                 X = X[np.abs(X - self._char_offsets()[0]).max(axis=1) <= self.N]
@@ -197,7 +201,7 @@ class ThetaContext:
     def _shift(self, z0: np.ndarray) -> Tuple[np.ndarray, tuple]:
         """The centre c = Y^-1 Im z of the terms at body z0, and round(c)."""
         c = self._Y_inv @ z0.imag
-        return c, tuple(np.rint(c).astype(int).tolist())
+        return c, tuple(map(round, c.tolist()))
 
     def _plan(self, shift: tuple, n: int) -> tuple:
         """The points P = m + a - shift, pi i P^t Z_red P at each, and the soul forms
@@ -323,8 +327,10 @@ def _tail_bounds(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[i
     |P| <= u = |v|/rho + |c| in the metric pi x^t Y x.  There a row's weight is at
     most |coef| u^d, and the soul product, whose l1 norm bounds its coefficients,
     at most sum_(j <= n/2) sigma^j / j! with sigma = alpha u + beta u^2,
-    alpha = 2 pi sum_m |z_m| and beta = pi sum_m |Z_m|_2; ``_tail`` bounds their sum.
+    alpha = 2 pi sum_m |z_m| and beta = pi sum_m |Z_m|_2; ``_log_tail`` bounds their sum.
     """
+    from numpy.polynomial import polynomial as poly
+
     z0, z_souls, n = _split_argument(ctx, z)
     g = ctx.genus
     c, shift = ctx._shift(z0)
@@ -345,12 +351,12 @@ def _tail_bounds(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[i
     u = np.array([float(np.linalg.norm(c)), 1 / ctx._rho])
     alpha = 2 * math.pi * sum(float(np.linalg.norm(v)) for v in z_souls.values())
     beta = math.pi * sum(float(np.linalg.norm(C, 2)) for C in ctx._soul_coeffs)
-    sigma = _add(alpha * u, beta * _power(u, 2))
-    soul = np.trim_zeros(functools.reduce(_add, (_power(sigma, j) / math.factorial(j)
-                                                 for j in range(n // 2 + 1))), "b")
-    scale = math.exp(math.pi * c @ ctx._Y @ c)
-    return [float(near_r + scale * k * _tail(g, ctx._rho, reach,
-                                             np.convolve(_power(u, len(idx)), soul)))
+    sigma = poly.polyadd(alpha * u, beta * poly.polypow(u, 2))
+    soul = poly.polytrim(functools.reduce(poly.polyadd, (poly.polypow(sigma, j) / math.factorial(j)
+                                                         for j in range(n // 2 + 1))))
+    scale = math.pi * c @ ctx._Y @ c
+    return [float(near_r + k * math.exp(scale + _log_tail(
+                g, ctx._rho, reach, poly.polymul(poly.polypow(u, len(idx)), soul))))
             for near_r, k, (idx, _) in zip(near, coefs, rows)]
 
 

@@ -111,6 +111,28 @@ def test_shifted_plan_matches_a_large_cube(characteristic):
             assert abs(value.body - w) < 1e-11 * abs(w), (k, m)
 
 
+@pytest.mark.parametrize("Y, re, centres", [
+    ([[60.0]], [[0.2]], [(0.5,), (0.45,), (-0.5,), (-0.55,)]),
+    ([[200.0]], [[0.2]], [(0.5,), (0.45,), (-0.5,), (-0.55,)]),
+    ([[80.0, 10.0], [10.0, 60.0]], [[0.1, 0.3], [0.3, -0.2]], [(0.5, 0.5), (0.45, -0.4), (1.5, 0.5)]),
+])
+def test_nearest_points_are_kept_at_large_lambda_min(Y, re, centres):
+    # with c = Y^-1 Im z near half-integers the largest terms sit at lattice points far
+    # from c in the metric pi x^t Y x (12.5 at Im tau = 200), and at g = 2 not at
+    # round(c) itself: they must all be summed
+    Y = np.array(Y)
+    ctx = ThetaContext(genus=len(Y), Z_red=np.array(re) + 1j * Y)
+    orders = [m for m in itertools.product(range(3), repeat=len(Y)) if sum(m) <= 2]
+    for c in centres:
+        z = list(1j * Y @ np.array(c) + 0.1)
+        want = _cube_sum(ctx.Z_red, z, orders, center=-np.rint(c), half=3)
+        for m, value, w in zip(orders, theta_jet(ctx, z, orders), want):
+            assert abs(value.body - w) < 1e-12 * abs(w), (c, m)
+    if len(Y) == 1:
+        # Theta(tau/2): the terms at n = 0 and n = -1 are both exp(0)
+        assert abs(theta(ctx, [ctx.Z_red[0, 0] / 2]).body - 2) < 1e-12
+
+
 def test_multiplier_arguments_share_the_cached_points():
     # z, z + e_j and z + Z e_j: one integer shift for the first two, one more per j
     f, z, images = _super_g3_two_alphas()
@@ -498,16 +520,16 @@ def test_tail_bound_covers_the_omitted_terms(genus, shifted, N):
 def test_tail_formula_bounds_a_direct_sum(genus):
     # the bound that sets R: sum over |v| > R of (1 + |v|/rho)^D exp(-|v|^2), v running
     # over a shifted lattice whose points lie at least rho apart, summed directly
-    from supercurves.theta import _radius, _tail
+    from supercurves.theta import _log_tail, _radius
 
     rng = np.random.default_rng(80 + genus)
     A = rng.standard_normal((genus, genus)) * 0.3 + np.eye(genus)
     Y = A @ A.T
     rho = np.sqrt(np.pi * np.linalg.eigvalsh(Y).min())
     T = np.sqrt(np.pi) * np.linalg.cholesky(Y).T
-    for degree in (0, 4, 8):
+    for degree, offset in ((0, 0.5), (4, 1.5), (8, 1.0)):
         weight = np.polynomial.polynomial.polypow([1.0, 1 / rho], degree)
-        R0 = _radius(genus, degree, rho)
+        R0 = _radius(genus, degree, rho, offset)
         for R in (R0 - 2, R0):
             for _ in range(3):
                 half = 40 // genus
@@ -515,5 +537,6 @@ def test_tail_formula_bounds_a_direct_sum(genus):
                 r = np.linalg.norm((m + rng.uniform(-0.5, 0.5, genus)) @ T.T, axis=1)
                 r = r[r > R]
                 direct = np.sum(np.polynomial.polynomial.polyval(r, weight) * np.exp(-r * r))
-                assert _tail(genus, rho, R, weight) >= direct > 0
-        assert _tail(genus, rho, R0, weight) <= 2.0 ** -52
+                assert np.exp(_log_tail(genus, rho, R, weight)) >= direct > 0
+        # relative to the largest term, which lies within offset of the centre
+        assert np.exp(_log_tail(genus, rho, R0, weight) + offset ** 2) <= 2.0 ** -52
