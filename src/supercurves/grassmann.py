@@ -7,20 +7,25 @@ elements with invertible body, exponentials of nilpotents) are exact in the
 monomial structure; only the complex coefficients are floating point.
 
 Products of two elements stay sparse: ``GrassmannScalar.__mul__`` pairs the
-nonzero terms.  Matrices over Lambda are held as complex arrays of shape
-(2^n, rows, cols), slot [m, i, j] holding the coefficient of monomial m in
-entry (i, j), with optional batch axes between the monomial axis and the
-matrix axes.  ``SuperMatrix``, the window operators, frames and flow symbols
-of ``sgr`` and the period blocks of ``jacobian`` store nothing else, and
-every product of two Lambda-matrices is ``array_mul``: it multiplies two
-such arrays through a table of the 3^n disjoint mask pairs, by one of two
-contractions, a batched ``matmul`` over the pairs for the large matrices of
-``sgr``, and vector multiply-adds with the pairs innermost for the 1 x 1 to
-4 x 4 blocks of the Berezinians, where one BLAS call per pair costs more
-than its arithmetic.  ``parity_violations`` checks the parity rule of a
-whole array at once.  Grids, lists of rows of elements, appear only at the
-edge: in the public constructors, which convert them once with
-``grid_array``, in the ``entries`` (and ``Z_e``/``Z_o``) reads, which
+nonzero terms at every n under one merge sign (``sign_of_merge``): ascending
+monomials a and b multiply to -(a | b) when a & P(b) has an odd number of
+bits, P(b) setting bit i when b has an odd number of bits at or below i: at
+a bit of a, which b does not hold, that counts the pairs i in a, j in b, j < i.
+
+Matrices over Lambda are held as complex arrays of shape (2^n, rows, cols),
+slot [m, i, j] holding the coefficient of monomial m in entry (i, j), with
+optional batch axes between the monomial axis and the matrix axes.
+``SuperMatrix``, the window operators, frames and flow symbols of ``sgr`` and
+the period blocks of ``jacobian`` store nothing else, and every product of
+two Lambda-matrices is ``array_mul``: it multiplies two such arrays through a
+table of the 3^n disjoint mask pairs, whose merge signs it builds bit by bit
+on its own, by one of two contractions, a batched ``matmul`` over the pairs
+for the large matrices of ``sgr``, and vector multiply-adds with the pairs
+innermost for the 1 x 1 to 4 x 4 blocks of the Berezinians, where one BLAS
+call per pair costs more than its arithmetic.  ``parity_violations`` checks
+the parity rule of a whole array at once.  Grids, lists of rows of elements,
+appear only at the edge: in the public constructors, which convert them once
+with ``grid_array``, in the ``entries`` (and ``Z_e``/``Z_o``) reads, which
 ``array_grid`` builds from the array, and in the JSON forms.  ``theta``
 converts its grid of period souls once and multiplies no Lambda-matrices;
 ``elliptic`` builds its Baker matrix as a ``SuperMatrix``.
@@ -34,6 +39,7 @@ pair table holds 531441 pairs (17 MB).  At n = 16 the table alone would hold
 
 from __future__ import annotations
 
+import cmath
 import math
 from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Sequence, Union
@@ -46,28 +52,20 @@ MAX_GENERATORS = 12
 
 Scalar = Union[int, float, complex]
 
-# sign tables (mask_a << n) | mask_b -> +-1, built lazily per generator count
-_SIGN_TABLES: Dict[int, list] = {}
+
+def _prefix_parity(mask: int) -> int:
+    """P(mask): bit i set when an odd number of mask's bits lie at or below i (exact for
+    n <= 16).  At a bit i that mask does not hold, that counts the bits below i."""
+    p = mask ^ (mask << 1)
+    p ^= p << 2
+    p ^= p << 4
+    return p ^ (p << 8)
 
 
 def sign_of_merge(mask_a: int, mask_b: int) -> int:
-    """(-1)^inversions when interleaving two disjoint ascending monomials."""
-    inv = 0
-    bb = mask_b
-    while bb:
-        low = bb & -bb
-        inv += (mask_a >> low.bit_length()).bit_count()
-        bb ^= low
-    return -1 if inv & 1 else 1
-
-
-def _sign_table(n: int) -> list:
-    table = _SIGN_TABLES.get(n)
-    if table is None and n <= 8:
-        size = 1 << n  # overlapping masks annihilate; their slot is never read
-        table = _SIGN_TABLES[n] = [0 if a & b else sign_of_merge(a, b)
-                                   for a in range(size) for b in range(size)]
-    return table
+    """(-1)^inversions when interleaving two disjoint ascending monomials: an
+    inversion pairs i in a with j < i in b, so their count has the parity of a & P(b)."""
+    return -1 if (mask_a & _prefix_parity(mask_b)).bit_count() & 1 else 1
 
 
 class GrassmannScalar:
@@ -89,6 +87,13 @@ class GrassmannScalar:
                 if c != 0:
                     clean[mask] = c
         self.terms = clean
+
+    @classmethod
+    def _of(cls, n: int, terms: Dict[int, complex]) -> "GrassmannScalar":
+        """An internal result: masks below 2^n, complex values, none zero; not checked."""
+        x = cls.__new__(cls)
+        x.n, x.terms = n, terms
+        return x
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -130,7 +135,7 @@ class GrassmannScalar:
         return self.terms.get(0, 0j)
 
     def soul(self) -> "GrassmannScalar":
-        return GrassmannScalar(self.n, {m: c for m, c in self.terms.items() if m})
+        return GrassmannScalar._of(self.n, {m: c for m, c in self.terms.items() if m})
 
     def reduce(self) -> complex:
         """Quotient out the nilpotents: the coefficient of the empty monomial."""
@@ -172,7 +177,7 @@ class GrassmannScalar:
         """The canonical embedding into the algebra with n >= self.n generators."""
         if n < self.n:
             raise DimensionError("cannot embed into a smaller algebra")
-        return self if n == self.n else GrassmannScalar(n, self.terms)
+        return self if n == self.n else GrassmannScalar._of(n, dict(self.terms))
 
     def __add__(self, other):
         if isinstance(other, GrassmannScalar):
@@ -184,7 +189,7 @@ class GrassmannScalar:
                     out.pop(m, None)
                 else:
                     out[m] = s
-            return GrassmannScalar(self.n, out)
+            return GrassmannScalar._of(self.n, out)
         if isinstance(other, (int, float, complex)):
             return self + GrassmannScalar.scalar(self.n, other)
         return NotImplemented
@@ -192,7 +197,7 @@ class GrassmannScalar:
     __radd__ = __add__
 
     def __neg__(self):
-        return GrassmannScalar(self.n, {m: -c for m, c in self.terms.items()})
+        return GrassmannScalar._of(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -207,39 +212,28 @@ class GrassmannScalar:
     def __mul__(self, other):
         if isinstance(other, GrassmannScalar):
             self._check_same_algebra(other)
-            n = self.n
+            right = [(sb, _prefix_parity(sb), cb) for sb, cb in other.terms.items()]
             out: Dict[int, complex] = {}
-            table = _sign_table(n)
-            if table is not None:
-                shift = n
-                for sa, ca in self.terms.items():
-                    base = sa << shift
-                    for sb, cb in other.terms.items():
-                        if sa & sb:
-                            continue
-                        k = sa | sb
-                        v = out.get(k, 0j) + table[base | sb] * ca * cb
-                        if v == 0:
-                            out.pop(k, None)
-                        else:
-                            out[k] = v
-            else:
-                for sa, ca in self.terms.items():
-                    for sb, cb in other.terms.items():
-                        if sa & sb:
-                            continue
-                        k = sa | sb
-                        v = out.get(k, 0j) + sign_of_merge(sa, sb) * ca * cb
-                        if v == 0:
-                            out.pop(k, None)
-                        else:
-                            out[k] = v
-            return GrassmannScalar(n, out)
+            for sa, ca in self.terms.items():
+                for sb, pb, cb in right:
+                    if sa & sb:
+                        continue
+                    k = sa | sb
+                    v = ca * cb
+                    if (sa & pb).bit_count() & 1:
+                        v = -v
+                    v += out.get(k, 0j)
+                    if v == 0:
+                        out.pop(k, None)
+                    else:
+                        out[k] = v
+            return GrassmannScalar._of(self.n, out)
         if isinstance(other, (int, float, complex)):
             c = complex(other)
             if c == 0:
                 return GrassmannScalar(self.n)
-            return GrassmannScalar(self.n, {m: v * c for m, v in self.terms.items()})
+            # a coefficient whose product underflows to 0 is dropped
+            return GrassmannScalar._of(self.n, {m: w for m, v in self.terms.items() if (w := v * c)})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -256,35 +250,32 @@ class GrassmannScalar:
         return NotImplemented
 
     def invert(self) -> "GrassmannScalar":
-        """Exact inverse via the terminating Neumann series body^-1 sum (-soul/body)^m."""
+        """Exact inverse via the terminating Neumann series body^-1 sum (-soul/body)^m;
+        a zero or non-finite body or a non-finite result raises."""
         b = self.body
-        if b == 0:
-            raise NotInvertibleError("element has zero body")
-        u = self.soul() * (-1.0 / b)  # -soul/body, nilpotent
+        if b == 0 or not cmath.isfinite(b):
+            raise NotInvertibleError(f"element body {b} is zero or not finite")
         acc = GrassmannScalar.one(self.n)
-        power = GrassmannScalar.one(self.n)
-        for _ in range(self.n):
-            power = power * u
-            if not power.terms:
-                break
+        for power in (self.soul() * (-1.0 / b))._powers():
             acc = acc + power
-        return acc * (1.0 / b)
+        out = acc * (1.0 / b)
+        if not all(map(cmath.isfinite, out.terms.values())):
+            raise NotInvertibleError(f"inverse of an element with body {b} is not finite")
+        return out
 
     def exp(self) -> "GrassmannScalar":
         """exp(body) times the terminating Taylor series of the nilpotent part."""
-        import cmath
-
-        s = self.soul()
         acc = GrassmannScalar.one(self.n)
-        power = GrassmannScalar.one(self.n)
-        fact = 1.0
-        for m in range(1, self.n + 1):
-            power = power * s
-            if not power.terms:
-                break
-            fact *= m
-            acc = acc + power * (1.0 / fact)
+        for m, power in enumerate(self.soul()._powers(), 1):
+            acc = acc + power * (1.0 / math.factorial(m))
         return acc * cmath.exp(self.body)
+
+    def _powers(self):
+        """self, self^2, ... while nonzero, for a nilpotent self (at most n of them)."""
+        power = self
+        while power.terms:
+            yield power
+            power = power * self
 
     def conjugate(self, structure: "RealStructure") -> "GrassmannScalar":
         """Apply the real structure: antilinear, fixes generators, reverses products."""
@@ -489,15 +480,10 @@ def array_elements(V: np.ndarray, n: int) -> List[GrassmannScalar]:
 
     A column with no nonzero slot gives one shared zero.
     """
-    zero = GrassmannScalar.zero(n)
-    out = [zero] * V.shape[1]
+    out = [GrassmannScalar.zero(n)] * V.shape[1]
     live = V.any(axis=0).nonzero()[0]
-    new = GrassmannScalar.__new__
     for pos, coeffs in zip(live.tolist(), V[:, live].T.tolist()):
-        x = new(GrassmannScalar)  # masks in range, values nonzero: nothing to check
-        x.n = n
-        x.terms = {m: c for m, c in enumerate(coeffs) if c}
-        out[pos] = x
+        out[pos] = GrassmannScalar._of(n, {m: c for m, c in enumerate(coeffs) if c})
     return out
 
 

@@ -27,7 +27,8 @@ degree <= n.  The points are enumerated once per generator count n, as the
 ellipsoid of radius R + r around -a; shifted by -round(c) they cover the
 ellipsoid of radius R around the exact centre for every z.  The forms
 pi i P^t Z P are cached per integer shift, so z, z + e_j and z + Z e_j share
-them.  An explicit N caps the points at |n_i + round(c)_i| <= N.
+them.  An explicit N caps the points at |n_i + round(c)_i| <= N.  A bounding
+box of more than 2^20 points, at a nearly singular Im Z_red, raises DomainError.
 ``ThetaContext.truncation`` reports R, the point count and a bound on the
 omitted terms at a given argument.
 
@@ -61,6 +62,7 @@ _MAX_DERIVATIVE_ORDER = 4
 _TAIL_TARGET = 2.0 ** -52  # omitted share of the largest term
 _REPORT_MARGIN = 2.0       # the error report sums the omitted points this far out exactly
 _PLAN_CACHE = 32           # integer shifts kept per context
+_MAX_BOX_POINTS = 1 << 20  # lattice box cap; perfbench's widest theta box holds 9261
 
 
 def _gauss_moments(R: float, count: int) -> np.ndarray:
@@ -174,12 +176,18 @@ class ThetaContext:
         return 0.0, 0.0
 
     def _ellipsoid(self, radius: float) -> np.ndarray:
-        """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row."""
+        """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row.
+
+        A bounding box of more than _MAX_BOX_POINTS points raises before it is built.
+        """
         a, _ = self._char_offsets()
         half = [radius * math.sqrt(d / math.pi) for d in np.diag(self._Y_inv).tolist()]
         low = [math.ceil(-h - a) for h in half]
-        X = np.indices([math.floor(h - a) - lo + 1 for h, lo in zip(half, low)]
-                       ).reshape(self.genus, -1).T + np.add(low, a)
+        box = [math.floor(h - a) - lo + 1 for h, lo in zip(half, low)]
+        if math.prod(box) > _MAX_BOX_POINTS:
+            raise DomainError(f"the theta lattice box holds {math.prod(box)} points, more than "
+                              f"{_MAX_BOX_POINTS}: Im Z_red is too close to singular")
+        X = np.indices(box).reshape(self.genus, -1).T + np.add(low, a)
         return X[np.einsum("ij,jk,ik->i", X, self._Y, X) <= radius * radius / math.pi]
 
     def _points(self, n: int) -> Tuple[np.ndarray, float]:

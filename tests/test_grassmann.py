@@ -11,7 +11,7 @@ from supercurves import grassmann
 from supercurves.grassmann import (_KERNEL_BUDGET, _TINY_MIN_PAIRS, MAX_GENERATORS,
                                    GrassmannScalar, RealStructure, array_elements, array_grid,
                                    array_mul, grid_array, parity_violations,
-                                   random_element)
+                                   random_element, sign_of_merge)
 from supercurves.supermatrix import left_mult_operator
 
 N = 3
@@ -57,6 +57,14 @@ def test_odd_elements_not_invertible():
         gen(0).invert()
     with pytest.raises(NotInvertibleError):
         GrassmannScalar.zero(N).invert()
+
+
+@pytest.mark.parametrize("body", [np.inf, np.nan, 1e-320])
+def test_invert_raises_instead_of_returning_inf_or_nan(body):
+    # unchecked, the Neumann series turns these into the zero element, a NaN element
+    # and inf/NaN coefficients
+    with pytest.raises(NotInvertibleError):
+        GrassmannScalar(2, {0: body, 0b11: 1.0}).invert()
 
 
 def test_reduce_examples():
@@ -170,6 +178,32 @@ def test_json_roundtrip(rng):
     assert json.dumps(a.to_json()) == blob  # deterministic serialization
 
 
+def _assert_clean(x):
+    """x has no zero-valued term, and agrees with the validated constructor on its terms."""
+    assert all(c != 0 for c in x.terms.values())
+    y = GrassmannScalar(x.n, x.terms)
+    assert x == y and hash(x) == hash(y) and x.to_json() == y.to_json()
+    assert x.is_zero() == y.is_zero()
+
+
+def test_internal_results_hold_no_zero_terms():
+    b1, b2 = gen(0), gen(1)
+    x = GrassmannScalar(N, {0: 1e250, 0b011: 1.0, 0b101: 2.0})
+    tiny = x * 1e-200 * 1e-200  # the soul underflows to 0, the body to 1e-150
+    assert list(tiny.terms) == [0]
+    assert (GrassmannScalar(N, {0b11: 1.0}) * 1e-200 * 1e-200).is_zero()
+    sum_cancels = x + (-x)
+    assert sum_cancels == GrassmannScalar.zero(N) and sum_cancels.is_zero()
+    product_cancels = (b1 + b2) * (b1 + b2)  # b1 b2 + b2 b1
+    assert product_cancels.is_zero()
+    partial = (x + b1 * b2) * one() - b1 * b2
+    assert partial.terms == x.terms
+    column = np.array([[1.0, 0], [0, 0], [0, 0], [2j, 0], [0, 0], [0, 0], [0, 0], [0, 0]])
+    for e in (tiny, sum_cancels, product_cancels, partial, x.soul(), -x, x.embed(N + 2),
+              (b1 * 0.3 + one()).exp(), (one() + b1 * b2).invert(), *array_elements(column, N)):
+        _assert_clean(e)
+
+
 def test_json_format_matches_contract():
     a = GrassmannScalar(2, {0b11: 1j})
     assert a.to_json() == {"n": 2, "terms": [{"mask": [1, 2], "re": 0.0, "im": 1.0}]}
@@ -280,6 +314,47 @@ def test_grid_mul_at_the_generator_cap(rng):
     A = [[sparse() for _ in range(2)] for _ in range(2)]
     B = [[sparse() for _ in range(2)] for _ in range(2)]
     _assert_grids_close(grid_product(A, B, n), _entrywise(A, B, n))
+
+
+def _sorting_sign(mask_a, mask_b):
+    """(-1)^swaps of an insertion sort of a's generators followed by b's."""
+    seq = [i for i in range(16) if mask_a >> i & 1] + [j for j in range(16) if mask_b >> j & 1]
+    swaps = 0
+    for k in range(1, len(seq)):
+        while k and seq[k - 1] > seq[k]:
+            seq[k - 1], seq[k] = seq[k], seq[k - 1]
+            swaps += 1
+            k -= 1
+    return -1 if swaps & 1 else 1
+
+
+def test_sign_of_merge_against_sorting():
+    for a in range(1 << 8):  # every disjoint pair at n <= 8
+        for b in range(1 << 8):
+            if not a & b:
+                assert sign_of_merge(a, b) == _sorting_sign(a, b), (a, b)
+    rng = np.random.default_rng(12)
+    bits = 1 << np.arange(12)
+    for owner in rng.integers(0, 3, size=(10 ** 4, 12)):  # generator in a, in b or in neither
+        a, b = int(bits[owner == 1].sum()), int(bits[owner == 2].sum())
+        assert sign_of_merge(a, b) == _sorting_sign(a, b), (a, b)
+
+
+@pytest.mark.parametrize("n, terms", [(9, None), (9, 40), (10, None), (10, 40), (12, 60)])
+def test_element_products_above_eight_generators_against_array_mul(rng, n, terms):
+    # array_mul's pair table builds its merge signs bit by bit, apart from sign_of_merge
+    def element():
+        if terms is None:
+            return random_element(rng, n)
+        return GrassmannScalar(n, {int(m): complex(*rng.standard_normal(2))
+                                   for m in rng.integers(0, 1 << n, size=terms)})
+
+    for _ in range(2):
+        a, b = element(), element()
+        want = array_mul(a.coeffs()[:, None, None], b.coeffs()[:, None, None], n)[:, 0, 0]
+        got = (a * b).coeffs()
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert ((got != 0) <= (want != 0)).all()
 
 
 def test_grid_mul_without_rows():

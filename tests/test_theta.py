@@ -228,6 +228,24 @@ def test_positive_definiteness_enforced():
         ThetaContext(genus=1, Z_red=np.array([[-1j]]))
 
 
+def test_unaffordable_lattice_box_raises_before_it_is_built(monkeypatch):
+    # Im Z = s (I + 0.15 J): the box around the ellipsoid holds 24.6 M points at
+    # s = 0.001 (0.6 GB of points) against 4913 at s = 0.3
+    import sys
+
+    Z = 1j * 0.001 * (np.eye(3) + 0.15)
+    with pytest.raises(DomainError, match=r"holds \d+ points"):
+        theta(ThetaContext(genus=3, Z_red=Z), [0.1, 0.2, 0.05])
+    with pytest.raises(DomainError, match=r"holds \d+ points"):
+        ThetaContext(genus=3, Z_red=Z).truncation()
+    # at s = 0.3 the report's outer box (9261 points) goes through the same check
+    ctx = ThetaContext(genus=3, Z_red=1j * 0.3 * (np.eye(3) + 0.15))
+    monkeypatch.setattr(sys.modules["supercurves.theta"], "_MAX_BOX_POINTS", 5000)
+    theta(ctx, [0.1, 0.2, 0.05])
+    with pytest.raises(DomainError, match="9261 points"):
+        ctx.truncation([0.1, 0.2, 0.05])
+
+
 def test_Z_soul_checked():
     n = 4
     Z = np.array([[1.2j, 0.1], [0.1, 1.1j]])
