@@ -19,34 +19,17 @@ from . import elliptic as ell
 from . import jacobian as jac
 from . import sgr
 from .errors import SupercurvesError
-from .grassmann import MAX_GENERATORS, GrassmannScalar
+from .grassmann import GrassmannScalar
 from .supermatrix import SuperLinearSystem, SuperMatrix, berezinian, berezinian_star, \
     oracle_solve, quasideterminant, solve_cramer
 from .theta import ThetaContext, build_super_theta, check_multipliers, theta
 
 
-# config-file fallbacks for fields the input JSON may omit, and the acceptance seed
-_CONFIG: dict = {}
-_CONFIG_KEYS = {"n_generators", "seed", "theta_N", "window_M"}
-# integer keys checked when the file is loaded: key -> (least, greatest or None)
-_CONFIG_INTEGERS = {"n_generators": (0, MAX_GENERATORS), "seed": (0, None), "theta_N": (1, None),
-                    "window_M": (4, None)}
-
-
-def _apply_config(data: dict) -> dict:
-    for key, field in (("n_generators", "n"), ("theta_N", "N"), ("window_M", "window_M")):
-        if field not in data and key in _CONFIG:
-            data = {**data, field: _CONFIG[key]}
-    return data
-
-
 def _load_json(path: str | None):
     if path in (None, "-"):
-        data = json.load(sys.stdin)
-    else:
-        with open(path) as fh:
-            data = json.load(fh)
-    return _apply_config(data) if isinstance(data, dict) else data
+        return json.load(sys.stdin)
+    with open(path) as fh:
+        return json.load(fh)
 
 
 def _gs(data, n: int | None = None) -> GrassmannScalar:
@@ -102,8 +85,7 @@ def _theta_context(data) -> ThetaContext:
         Z_soul = _grid(data["Z_soul"], n)
         n = max(n, max(e.n for row in Z_soul for e in row))
     return ThetaContext(genus=g, Z_red=Z_red, Z_soul=Z_soul,
-                        N=data.get("N"), characteristic=str(data.get("characteristic", "0")),
-                        n_gens=n)
+                        characteristic=str(data.get("characteristic", "0")), n_gens=n)
 
 
 def cmd_theta(args) -> None:
@@ -218,8 +200,7 @@ def cmd_tau_elliptic(args) -> None:
     d = ell.SuperEllipticData(
         tau_modulus=complex(*args.tau), delta=delta,
         a=GrassmannScalar.scalar(n, complex(*args.a)), alpha=alpha,
-        zeta=GrassmannScalar.scalar(n, complex(*args.zeta)), n=n,
-        theta_N=_CONFIG.get("theta_N"))
+        zeta=GrassmannScalar.scalar(n, complex(*args.zeta)), n=n)
     _emit({"tau_ratio": ell.tau_ratio(d).to_json(),
            "tau_closed_form": ell.tau_closed_form(d).to_json(),
            "ber_check_residual": ell.ber_check_residual(d),
@@ -229,9 +210,7 @@ def cmd_tau_elliptic(args) -> None:
 def cmd_acceptance(args) -> None:
     from . import acceptance  # imported here: no other subcommand pays for compiling it
 
-    # the explicit flag wins over the config file, which wins over seed 0
-    seed = args.seed if args.seed is not None else _CONFIG.get("seed", 0)
-    summary = acceptance.run_all(seed=seed, echo=True)
+    summary = acceptance.run_all(seed=args.seed, echo=True)
     _emit({"all_passed": summary["all_passed"], "seed": summary["seed"],
            "results": [{"name": r["name"], "passed": r["passed"], "detail": r["detail"]}
                        for r in summary["results"]]})
@@ -249,7 +228,6 @@ def _complex_pair(text: str):
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="supercurves",
                                 description="super linear algebra, theta and tau computations")
-    p.add_argument("--config", help="JSON config file", default=None)
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, needs_json=True):
@@ -278,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha-delta-scale", type=float, default=1.0)
 
     sp = add("acceptance", needs_json=False)
-    sp.add_argument("--seed", type=int, default=None)
+    sp.add_argument("--seed", type=int, default=0)
     return p
 
 
@@ -290,30 +268,6 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"bad config: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(cfg, dict):
-            print("bad config: expected a JSON object", file=sys.stderr)
-            return 2
-        unknown = sorted(set(cfg) - _CONFIG_KEYS)
-        if unknown:
-            print(f"bad config: unknown keys {unknown}", file=sys.stderr)
-            return 2
-        for key, (low, high) in _CONFIG_INTEGERS.items():
-            v = cfg.get(key, low)
-            if (isinstance(v, bool) or not isinstance(v, int) or v < low
-                    or high is not None and v > high):
-                want = f">= {low}" if high is None else f"in [{low}, {high}]"
-                print(f"bad config: {key} must be an integer {want}, got {v!r}", file=sys.stderr)
-                return 2
-    _CONFIG.clear()
-    _CONFIG.update(cfg)
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         handler(args)

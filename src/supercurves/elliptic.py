@@ -38,8 +38,7 @@ class SuperEllipticData:
     alpha: GrassmannScalar
     zeta: GrassmannScalar
     n: int = 2
-    theta_N: int | None = None
-    # the Theta_11 context and the (tau_modulus, theta_N, n) it was built for
+    # the Theta_11 context and the (tau_modulus, n) it was built for
     _theta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,10 +57,10 @@ class SuperEllipticData:
                 raise ParityError(f"{name} must be even")
 
     def context(self) -> ThetaContext:
-        """The Theta_11 context, built once and again only when tau_modulus, theta_N or n change."""
-        key = (self.tau_modulus, self.theta_N, self.n)
+        """The Theta_11 context, built once and again only when tau_modulus or n change."""
+        key = (self.tau_modulus, self.n)
         if self._theta is None or self._theta[0] != key:
-            ctx = ThetaContext(genus=1, Z_red=np.array([[self.tau_modulus]]), N=self.theta_N,
+            ctx = ThetaContext(genus=1, Z_red=np.array([[self.tau_modulus]]),
                                characteristic=CHAR_ODD, n_gens=self.n)
             self._theta = (key, ctx)
         return self._theta[1]
@@ -136,5 +135,5 @@ def ber_check_residual(d: SuperEllipticData) -> float:
 def convention_factor(d: SuperEllipticData) -> GrassmannScalar:
     """ber(B) * tau_ratio at alpha*delta = 0; unity confirms the conventions match."""
     stripped = replace(d, delta=GrassmannScalar.zero(d.n), alpha=GrassmannScalar.zero(d.n))
-    stripped._theta = d._theta  # same modulus, cap and n: the context carries over
+    stripped._theta = d._theta  # same modulus and n: the context carries over
     return berezinian(baker_matrix(stripped)) * tau_ratio(stripped)

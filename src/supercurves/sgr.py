@@ -175,8 +175,8 @@ def _symbol_columns(symbol: Mapping, n: int, check_even: bool):
     return C[:, q], parity, shift, int(np.abs(shift).max(initial=0))
 
 
-def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
-                          check_even: bool = True) -> Tuple[WindowOperator, bool]:
+def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int
+                          ) -> Tuple[WindowOperator, bool]:
     """Band matrix of a multiplication/derivation symbol in the e-basis.
 
     ``symbol`` maps keys to Lambda coefficients; supported keys:
@@ -190,7 +190,7 @@ def multiplication_matrix(window: TruncationWindow, symbol: Mapping, n: int,
     Returns the operator and a truncation-warning flag set when the band is
     too wide for the window (shifts larger than half the window span).
     """
-    C, parity, shift, widest = _symbol_columns(symbol, n, check_even)
+    C, parity, shift, widest = _symbol_columns(symbol, n, True)
     op = _band(C, parity, shift, len(window.indices))
     return WindowOperator._of(window, n, op), widest > 2 * window.M
 
@@ -697,7 +697,7 @@ def jheis_projected_action(window: TruncationWindow, sym: Mapping[SymbolKey, Gra
 
     The scatter writes the H_- block alone, never the whole window.
     """
-    C, parity, shift, _ = _symbol_columns(symbol_of_jheis(dict(sym)), n, check_even=False)
+    C, parity, shift, _ = _symbol_columns(symbol_of_jheis(dict(sym)), n, False)
     return _band(C, parity, shift, 2 * window.M)
 
 

@@ -13,8 +13,8 @@ A ``SuperMatrix`` holds one complex array of shape (2^n, rows, cols), the
 layout of ``grassmann.grid_array``; products, sums, blocks, inverses and
 Berezinians work on that array.  Grids of elements appear only at the edge:
 the constructor, the ``entries``/``row``/``col`` views, JSON, and the public
-functions that take raw grids or rows (``det_even`` and ``invert_even`` on a
-grid, ``det_even_laplace``, the substituted rows, the right-hand side of the
+functions that take raw grids or rows (``det_even`` on a grid,
+``det_even_laplace``, the substituted rows, the right-hand side of the
 oracle).
 
 A determinant or Berezinian is carried as det(body) times the coefficient
@@ -372,12 +372,6 @@ def det_even(M, n: int | None = None) -> GrassmannScalar:
     return _element(np.linalg.det(body) * _exp(_logdet(body, powers, n), n), n)
 
 
-def invert_even(M: Grid, n: int) -> Grid:
-    """Inverse of a square grid of even elements with invertible body."""
-    _, binv, powers = _factor(grid_array(M, len(M), n), n, "matrix body")
-    return array_grid(_inverse(binv, powers, n), n)
-
-
 # -- Berezinians ----------------------------------------------------------------
 
 def _log_ber(D: np.ndarray, k: int, star: bool, n: int):
@@ -500,11 +494,13 @@ def _quasidet_functional(A: SuperMatrix, rows, cols):
 def quasideterminant(A: SuperMatrix, i: int, j: int) -> GrassmannScalar:
     """|A|_{ij} = a_ij - sum_{p!=j, q!=i} a_ip c^{(ij)}_{pq} a_qj, C = (A^{ij})^-1.
 
-    Indices are 0-based; i and j must sit in the same parity class so that
-    A^{ij} stays even.
+    Indices are 0-based, in range(m); i and j must sit in the same parity class
+    so that A^{ij} stays even.
     """
     if not A.is_square():
         raise DimensionError("quasideterminant of a non-square matrix")
+    if not (0 <= i < A.nrows and 0 <= j < A.nrows):
+        raise DimensionError(f"index ({i}, {j}) outside a {A.nrows}x{A.nrows} matrix")
     if not _same_class(A, i, j):
         raise ParityError("row and column index lie in different parity classes")
     if A.nrows == 1:

@@ -25,10 +25,10 @@ at least exp(pi c^t Y c - r^2).  The radius R comes from a proven tail bound
 2^-52 of that largest term, for derivatives of order <= 4 and soul products of
 degree <= n.  The points are enumerated once per generator count n, as the
 ellipsoid of radius R + r around -a; shifted by -round(c) they cover the
-ellipsoid of radius R around the exact centre for every z.  The forms
-pi i P^t Z P are cached per integer shift, so z, z + e_j and z + Z e_j share
-them.  An explicit N caps the points at |n_i + round(c)_i| <= N.  A bounding
-box of more than 2^20 points, at a nearly singular Im Z_red, raises DomainError.
+ellipsoid of radius R around the exact centre for every z.  That radius is the
+only truncation.  The forms pi i P^t Z P are cached per integer shift, so z,
+z + e_j and z + Z e_j share them.  A bounding box of more than 2^20 points, at a
+nearly singular Im Z_red, raises DomainError.
 ``ThetaContext.truncation`` reports R, the point count and a bound on the
 omitted terms at a given argument.
 
@@ -125,12 +125,11 @@ def _radius(g: int, degree: int, rho: float, offset: float) -> float:
 
 @dataclass
 class ThetaContext:
-    """Evaluation context: reduced period matrix, nilpotent augmentation, optional cap N."""
+    """Evaluation context: reduced period matrix and nilpotent augmentation."""
 
     genus: int
     Z_red: np.ndarray
     Z_soul: List[List[GrassmannScalar]] | None = None
-    N: int | None = None
     characteristic: str = CHAR_PLAIN
     n_gens: int = 0
 
@@ -145,8 +144,6 @@ class ThetaContext:
             raise DomainError("Im Z_red is not positive definite")
         if self.characteristic not in (CHAR_PLAIN, CHAR_ODD):
             raise DomainError(f"unsupported characteristic {self.characteristic!r}")
-        if self.N is not None and self.N < 1:
-            raise DomainError("truncation radius must be >= 1")
         self._Y_inv = (V / lam) @ V.T
         # in the metric pi x^t Y x no two lattice points lie closer than rho, and no
         # centre lies farther than _offset from its rounding: f = c - round(c) has
@@ -175,8 +172,9 @@ class ThetaContext:
             return 0.5, 0.5
         return 0.0, 0.0
 
-    def _ellipsoid(self, radius: float) -> np.ndarray:
-        """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row.
+    def _ellipsoid(self, radius: float, inner: float | None = None) -> np.ndarray:
+        """The points X = m + a, m integral, with pi X^t Y X <= radius^2, one per row,
+        and only those with pi X^t Y X > inner^2 when ``inner`` is given.
 
         A bounding box of more than _MAX_BOX_POINTS points raises before it is built.
         """
@@ -188,11 +186,15 @@ class ThetaContext:
             raise DomainError(f"the theta lattice box holds {math.prod(box)} points, more than "
                               f"{_MAX_BOX_POINTS}: Im Z_red is too close to singular")
         X = np.indices(box).reshape(self.genus, -1).T + np.add(low, a)
-        return X[np.einsum("ij,jk,ik->i", X, self._Y, X) <= radius * radius / math.pi]
+        q = np.einsum("ij,jk,ik->i", X, self._Y, X)
+        keep = q <= radius * radius / math.pi
+        if inner is not None:
+            keep &= q > inner * inner / math.pi
+        return X[keep]
 
     def _points(self, n: int) -> Tuple[np.ndarray, float]:
-        """The summed points m + a around 0 at generator count n, capped by N, and the
-        radius R that they cover around every centre when N is None."""
+        """The summed points m + a around 0 at generator count n, and the radius R
+        that they cover around every centre."""
         hit = self._point_sets.get(n)
         if hit is None:
             # rho rounded down and the offset up to a grid of 1/16 octave, so nearby
@@ -201,8 +203,6 @@ class ThetaContext:
             offset = 2.0 ** (math.ceil(16 * math.log2(self._offset)) / 16)
             R = _radius(self.genus, _MAX_DERIVATIVE_ORDER + 2 * (n // 2), rho, offset)
             X = self._ellipsoid(R + self._offset)
-            if self.N is not None:
-                X = X[np.abs(X - self._char_offsets()[0]).max(axis=1) <= self.N]
             hit = self._point_sets[n] = (X, R)
         return hit
 
@@ -233,10 +233,10 @@ class ThetaContext:
                    derivs: Sequence[Sequence[int]] | None = None) -> dict:
         """How the lattice sum is truncated, computed only when asked.
 
-        ``radius`` is the R that the points cover around every centre when N is None,
-        ``points`` their count.  Given z, ``shift`` is round(c) and ``tail_bound``
-        bounds, for each multi-index m in ``derivs`` (default: Theta alone), the
-        largest Lambda coefficient of the terms of d^m Theta that the pass at z omits.
+        ``radius`` is the R that the points cover around every centre, ``points``
+        their count.  Given z, ``shift`` is round(c) and ``tail_bound`` bounds, for
+        each multi-index m in ``derivs`` (default: Theta alone), the largest Lambda
+        coefficient of the terms of d^m Theta that the pass at z omits.
         """
         if z is None:
             X, R = self._points(self.n_gens)
@@ -329,8 +329,9 @@ def _tail_bounds(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[i
     """For each row, a bound on the largest Lambda coefficient of the terms that the
     pass at z omits.
 
-    The omitted points out to radius R + r + _REPORT_MARGIN around -a are summed in
-    absolute value, coefficient by coefficient.  Every point beyond lies farther than
+    The omitted points out to radius R + r + _REPORT_MARGIN around -a, the shell
+    beyond the summed R + r, are summed in absolute value, coefficient by
+    coefficient.  Every point beyond lies farther than
     R + r + _REPORT_MARGIN - |f| from the centre, f = c - round(c), and has
     |P| <= u = |v|/rho + |c| in the metric pi x^t Y x.  There a row's weight is at
     most |coef| u^d, and the soul product, whose l1 norm bounds its coefficients,
@@ -342,12 +343,9 @@ def _tail_bounds(ctx: ThetaContext, z: Sequence, rows: Sequence[Tuple[Sequence[i
     z0, z_souls, n = _split_argument(ctx, z)
     g = ctx.genus
     c, shift = ctx._shift(z0)
-    X, R = ctx._points(n)
+    R = ctx._points(n)[1]
     outer = R + ctx._offset + _REPORT_MARGIN
-    kept = set(map(tuple, X.tolist()))
-    omitted = np.array([x for x in ctx._ellipsoid(outer).tolist() if tuple(x) not in kept]
-                       ).reshape(-1, g)
-    P = omitted - shift
+    P = ctx._ellipsoid(outer, R + ctx._offset) - shift
     quad, souls = _forms(ctx, P)
     b = ctx._char_offsets()[1]
     terms = np.abs(np.array(list(_exponentials(P, quad, souls, z0, z_souls, b).values())))

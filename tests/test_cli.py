@@ -90,6 +90,52 @@ def test_exit_code_domain_error():
     assert proc.returncode == 3
 
 
+def _element(n, *terms):
+    return {"n": n, "terms": [{"mask": list(mask), "re": re, "im": 0} for mask, re in terms]}
+
+
+MATRIX_21 = {"rows": [2, 1], "cols": [2, 1], "entries": [
+    [_element(2, ((), 2)), _element(2, ((), 1)), _element(2, ((1,), 1))],
+    [_element(2, ((), 1)), _element(2, ((), 3)), _element(2, ((2,), 1))],
+    [_element(2, ((2,), 1)), _element(2, ((1,), 1)), _element(2, ((), 1))]]}
+Z_RED_2 = [[{"re": 0, "im": 1.2}, {"re": 0.1}], [{"re": 0.1}, {"re": 0, "im": 1.1}]]
+RAGGED_PERIODS = {"n": 2, "g": 2, "Z_e": [[_element(2, ((), 1)), _element(2, ((), 1))],
+                                          [_element(2, ((), 1))]],
+                  "Z_o": [[_element(2, ((1,), 1))], [_element(2, ((2,), 1))]]}
+IDENTITY_FRAME = [[int(r == c) for c in range(4)] for r in range(8)]
+
+
+@pytest.mark.parametrize("command, request_, code", [
+    ("ber", {"matrix": {"rows": [1, 1], "cols": [1, 1],
+                        "entries": [[_element(2, ((), 1)), _element(2, ((1,), 1))]]}}, 3),
+    ("ber", {"matrix_": MATRIX_11}, 2),
+    ("solve", {"matrix": MATRIX_21, "rhs": [_element(2, ((), 1))]}, 3),
+    ("quasidet", {"matrix": MATRIX_21, "i": 7, "j": 7}, 3),
+    ("quasidet", {"matrix": MATRIX_21, "i": 2, "j": 5}, 3),
+    ("quasidet", {"matrix": MATRIX_21, "i": -1, "j": -1}, 3),
+    ("theta", {"genus": 2, "Z_red": [[{"re": 0, "im": 1}]], "z": [0, 0]}, 3),
+    ("theta", {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1], "derivative": [5]}, 3),
+    ("theta", {"genus": 1, "n": 13, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1]}, 3),
+    ("super-theta", {"genus": 2, "Z_red": Z_RED_2, "alphas": [3], "eta_generators": [0],
+                     "z": [0, 0]}, 3),
+    ("period-q", RAGGED_PERIODS, 3),
+    ("dual-cohomology", RAGGED_PERIODS, 3),
+    ("bilinear-check", {"n": 13, "a": [1], "b": [1], "a_hat": [1], "b_hat": [1]}, 3),
+    ("sgr-tau", {"window_M": 1, "n": 0, "frame": [[1, 0], [0, 1], [0, 0], [0, 0]]}, 3),
+    ("sgr-tau", {"n": 0, "frame": IDENTITY_FRAME}, 2),
+    ("sgr-tau", {"window_M": 2, "n": 0, "frame": IDENTITY_FRAME, "flows": {"0": 0.1}}, 3),
+    ("sgr-baker", {"window_M": 2, "n": 0, "frame": IDENTITY_FRAME, "flows": {"0": 0.1}}, 3),
+])
+def test_bad_requests_exit_2_or_3(command, request_, code, tmp_path, capsys):
+    # an exception that escaped main would print a traceback and exit 1
+    path = tmp_path / "request.json"
+    path.write_text(json.dumps(request_))
+    assert main([command, "--json", str(path)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: " if code == 3 else "input error: ")
+
+
 def test_deterministic_output():
     blob = json.dumps({"matrix": MATRIX_11})
     a = run_cli(["ber"], stdin=blob)
@@ -126,7 +172,7 @@ def test_cli_import_leaves_the_acceptance_module_out():
     assert proc.stdout.strip() == "False"
 
 
-# -- seed and config handling, in process ------------------------------------------
+# -- the acceptance seed, in process ---------------------------------------------
 
 
 def _capture_seed(monkeypatch):
@@ -147,21 +193,12 @@ def _write_json(path, obj):
     return str(path)
 
 
-def test_acceptance_seed_flag_reaches_run_all(monkeypatch, tmp_path, capsys):
+def test_acceptance_seed_flag_reaches_run_all(monkeypatch, capsys):
     seen = _capture_seed(monkeypatch)
     assert main(["acceptance", "--seed", "7"]) == 0
-    cfg = _write_json(tmp_path / "cfg.json", {"seed": 11})
-    assert main(["--config", cfg, "acceptance", "--seed", "7"]) == 0
-    assert seen == [7, 7]
     assert json.loads(capsys.readouterr().out.splitlines()[-1])["seed"] == 7
-
-
-def test_acceptance_seed_from_config(monkeypatch, tmp_path):
-    seen = _capture_seed(monkeypatch)
-    cfg = _write_json(tmp_path / "cfg.json", {"seed": 11})
-    assert main(["--config", cfg, "acceptance"]) == 0
     assert main(["acceptance"]) == 0
-    assert seen == [11, 0]
+    assert seen == [7, 0]
 
 
 def test_seed_before_subcommand_is_rejected(monkeypatch):
@@ -172,78 +209,7 @@ def test_seed_before_subcommand_is_rejected(monkeypatch):
     assert seen == []
 
 
-def test_config_rejects_unread_keys(tmp_path):
-    cfg = _write_json(tmp_path / "cfg.json", {"tolerance": 1e-9})
-    assert main(["--config", cfg, "rr", "--degL", "1", "--g", "2"]) == 2
-
-
-def test_config_rejects_small_window(tmp_path):
-    cfg = _write_json(tmp_path / "cfg.json", {"window_M": 3})
-    assert main(["--config", cfg, "rr", "--degL", "1", "--g", "2"]) == 2
-
-
-@pytest.mark.parametrize("cfg", [{"theta_N": 0}, {"theta_N": 1.5}, {"theta_N": "x"},
-                                 {"theta_N": True}, {"theta_N": None}, {"n_generators": -1},
-                                 {"n_generators": 13}, {"n_generators": 2.0},
-                                 {"n_generators": "4"}, {"n_generators": False},
-                                 {"window_M": 4.5}, {"window_M": "x"}, {"seed": 1.5},
-                                 {"seed": True}, {"seed": -1}])
-def test_config_rejects_bad_integers(cfg, tmp_path, capsys):
-    # checked when the file is loaded, before any input is read, whatever the subcommand
-    path = _write_json(tmp_path / "cfg.json", cfg)
-    for subcommand in (["rr", "--degL", "1", "--g", "2"], ["tau-elliptic"],
-                       ["theta", "--json", "missing.json"]):
-        assert main(["--config", path, *subcommand]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith(f"bad config: {next(iter(cfg))} must be an integer")
-
-
-@pytest.mark.parametrize("cfg", [{"theta_N": 1}, {"theta_N": 30}, {"n_generators": 0},
-                                 {"n_generators": 12}, {"window_M": 4}, {"seed": 0}])
-def test_config_accepts_integers_in_range(cfg, tmp_path, capsys):
-    path = _write_json(tmp_path / "cfg.json", cfg)
-    assert main(["--config", path, "rr", "--degL", "1", "--g", "2"]) == 0
-
-
-def test_config_fills_theta_N(tmp_path, capsys):
-    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
-    plain = _write_json(tmp_path / "plain.json", data)
-    explicit = _write_json(tmp_path / "explicit.json", {**data, "N": 1})
-    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
-    outs = []
-    for argv in (["--config", cfg, "theta", "--json", plain], ["theta", "--json", explicit],
-                 ["theta", "--json", plain]):
-        assert main(argv) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert outs[0] != outs[2]
-
-
-def test_config_fills_window_M(tmp_path, capsys):
-    M = 4
-    window_indices = list(range(-2 * M + 1, 2 * M + 1))
-    neg = [d for d in window_indices if d <= 0]
-    one = {"n": 2, "terms": [{"mask": [], "re": 1, "im": 0}]}
-    zero = {"n": 2, "terms": []}
-    frame = [[one if rd == cd else zero for cd in neg] for rd in window_indices]
-    data = {"n": 2, "frame": frame,
-            "flows": {"2": {"n": 2, "terms": [{"mask": [], "re": 0.3, "im": 0}]}}}
-    plain = _write_json(tmp_path / "plain.json", data)
-    explicit = _write_json(tmp_path / "explicit.json", {**data, "window_M": M})
-    cfg = _write_json(tmp_path / "cfg.json", {"window_M": M})
-    assert main(["sgr-tau", "--json", plain]) == 2
-    capsys.readouterr()
-    outs = []
-    for argv in (["--config", cfg, "sgr-tau", "--json", plain],
-                 ["sgr-tau", "--json", explicit]):
-        assert main(argv) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
-    assert json.loads(outs[0])["diagnostics"]["window_M"] == M
-
-
-# -- complex flags and tau-elliptic's lattice radius -----------------------------
+# -- complex flags ----------------------------------------------------------------
 
 
 @pytest.mark.parametrize("flag", ["--tau=0,2,7", "--a=0.3,0.1,5", "--zeta=0.1,0,"])
@@ -254,6 +220,18 @@ def test_complex_flag_rejects_extra_parts(flag, capsys):
     assert capsys.readouterr().out == ""
 
 
+def _tau_elliptic_json(tau: complex) -> dict:
+    n = 2
+    d = ell.SuperEllipticData(
+        tau_modulus=tau, delta=GrassmannScalar.generator(n, 1),
+        a=GrassmannScalar.scalar(n, 0.3 + 0.1j), alpha=GrassmannScalar.generator(n, 0),
+        zeta=GrassmannScalar.scalar(n, 0.1), n=n)
+    return {"tau_ratio": ell.tau_ratio(d).to_json(),
+            "tau_closed_form": ell.tau_closed_form(d).to_json(),
+            "ber_check_residual": ell.ber_check_residual(d),
+            "convention_factor": ell.convention_factor(d).to_json()}
+
+
 def test_complex_flag_takes_one_or_two_parts(capsys):
     outs = []
     for tau in ("--tau=0,2", "--tau=0.0,2.0"):
@@ -261,29 +239,7 @@ def test_complex_flag_takes_one_or_two_parts(capsys):
         outs.append(capsys.readouterr().out)
     assert main(["tau-elliptic", "--tau=0,2", "--zeta=0.1,0"]) == 0
     assert outs == [outs[0], capsys.readouterr().out]
-
-
-def _tau_elliptic_json(tau: complex, theta_N) -> dict:
-    n = 2
-    d = ell.SuperEllipticData(
-        tau_modulus=tau, delta=GrassmannScalar.generator(n, 1),
-        a=GrassmannScalar.scalar(n, 0.3 + 0.1j), alpha=GrassmannScalar.generator(n, 0),
-        zeta=GrassmannScalar.scalar(n, 0.1), n=n, theta_N=theta_N)
-    return {"tau_ratio": ell.tau_ratio(d).to_json(),
-            "tau_closed_form": ell.tau_closed_form(d).to_json(),
-            "ber_check_residual": ell.ber_check_residual(d),
-            "convention_factor": ell.convention_factor(d).to_json()}
-
-
-def test_config_sets_tau_elliptic_theta_N(tmp_path, capsys):
-    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
-    assert main(["--config", cfg, "tau-elliptic", "--tau=0,0.5"]) == 0
-    configured = capsys.readouterr().out
-    assert main(["tau-elliptic", "--tau=0,0.5"]) == 0
-    default = capsys.readouterr().out
-    assert json.loads(configured) == _tau_elliptic_json(0.5j, 1)
-    assert json.loads(default) == _tau_elliptic_json(0.5j, None)
-    assert configured != default
+    assert json.loads(outs[0]) == _tau_elliptic_json(2j)
 
 
 # -- one parser per process ---------------------------------------------------------
@@ -316,43 +272,30 @@ def test_main_builds_its_parser_once(monkeypatch, capsys):
 
 
 def test_shared_parser_calls_match_a_fresh_parser(monkeypatch, tmp_path, capsys):
-    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
-    plain = _write_json(tmp_path / "plain.json", data)
-    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
     bad = tmp_path / "bad.json"
     bad.write_text("this is not json")
     singular = _write_json(tmp_path / "singular.json", {"matrix": {
         "rows": [0, 1], "cols": [0, 1],
         "entries": [[{"n": 1, "terms": [{"mask": [1], "re": 1, "im": 0}]}]]}})
-    calls = [["--config", cfg, "theta", "--json", plain], ["theta", "--json", plain],
+    calls = [["tau-elliptic", "--tau=0,0.5"], ["tau-elliptic"],
              ["ber", "--json", str(bad)], ["ber", "--json", singular],
-             ["--config", cfg, "theta", "--json", plain], ["theta", "--json", plain]]
+             ["tau-elliptic", "--tau=0,0.5"], ["tau-elliptic"]]
     shared = [_outcome(main, argv, capsys) for argv in calls]
     with monkeypatch.context() as m:
         m.setattr(cli, "_parser", cli.build_parser)  # a fresh parser on every call
         fresh = [_outcome(main, argv, capsys) for argv in calls]
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 2, 3, 0, 0]
-    assert shared[0][1] != shared[1][1]  # the config reached the first call only
+    assert shared[0][1] != shared[1][1]  # the flag reached the first call only
+    assert shared[4:] == shared[:2]
 
 
 @pytest.mark.parametrize("argv", [["-h"]] + [[name, "-h"] for name in SUBCOMMANDS]
                          + [[], ["nope"], ["--seed", "5", "acceptance"], ["rr"],
-                            ["rr", "--degL", "x", "--g", "1"]])
+                            ["rr", "--degL", "x", "--g", "1"], ["--config", "x.json", "theta"]])
 def test_shared_parser_help_and_usage_errors_match_a_fresh_parser(argv, capsys):
     main(["rr", "--degL", "1", "--g", "2"])  # the shared parser has served a call
     want = _outcome(cli.build_parser().parse_args, argv, capsys)
     assert want[0] in (0, 2)
     assert _outcome(main, argv, capsys) == want
     assert _outcome(main, argv, capsys) == want
-
-
-def test_config_flag_forms(tmp_path, capsys):
-    data = {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [{"re": 0.1, "im": 0.0}]}
-    plain = _write_json(tmp_path / "plain.json", data)
-    cfg = _write_json(tmp_path / "cfg.json", {"theta_N": 1})
-    outs = []
-    for prefix in (["--config", cfg], ["--conf", cfg], [f"--config={cfg}"], []):
-        assert main([*prefix, "theta", "--json", plain]) == 0
-        outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1] == outs[2] != outs[3]

@@ -136,14 +136,14 @@ def test_one_context_per_data_object(monkeypatch):
              ell.convention_factor)
     first = [f(d) for f in calls]
     assert len(built) == 1
-    # a changed modulus, cap or generator count gets a context of its own, never a stale one
+    # a changed modulus or generator count gets a context of its own, never a stale one
     wider = {k: getattr(d, k).embed(3) for k in ("a", "alpha", "delta", "zeta")}
-    for change in ({"tau_modulus": 1.7j}, {"theta_N": 1}, {"n": 3, **wider}):
+    for change in ({"tau_modulus": 1.7j}, {"n": 3, **wider}):
         for k, v in change.items():
             setattr(d, k, v)
         count = len(built)
         fresh = ell.SuperEllipticData(tau_modulus=d.tau_modulus, delta=d.delta, a=d.a,
-                                      alpha=d.alpha, zeta=d.zeta, n=d.n, theta_N=d.theta_N)
+                                      alpha=d.alpha, zeta=d.zeta, n=d.n)
         assert ell.tau_ratio(d) == ell.tau_ratio(fresh)
         assert len(built) == count + 2
         assert ell.tau_closed_form(d) == ell.tau_closed_form(fresh)

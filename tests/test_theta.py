@@ -466,7 +466,7 @@ def test_soul_product_matches_the_taylor_sum(genus, n):
     Z = np.diag(rng.uniform(0.9, 1.3, genus)) * 1j + 0.1 * rng.standard_normal((genus, genus))
     Z_soul = [[_random_soul(rng, n_Z, 0.05) for _ in range(genus)] for _ in range(genus)]
     Z_soul[0][genus - 1] = GrassmannScalar.zero(n_Z)
-    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul, N=5,
+    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul,
                        characteristic="11" if genus == 1 else "0")
     z = [GrassmannScalar.scalar(n_z, complex(*rng.uniform(-0.3, 0.3, 2))) + _random_soul(rng, n_z, 0.1)
          for _ in range(genus)]
@@ -504,17 +504,16 @@ def test_soul_lattice_pass_makes_no_element_products(monkeypatch):
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 @pytest.mark.parametrize("shifted", [False, True])
-@pytest.mark.parametrize("N", [None, 2])
-def test_tail_bound_covers_the_omitted_terms(genus, shifted, N):
+def test_tail_bound_covers_the_omitted_terms(genus, shifted):
     # the omitted terms, summed directly over the cube |n_i + shift_i| <= 9 less the kept
     # points, against the reported bound for every derivative of order <= 2; Z and z
-    # both carry souls, and N = 2 cuts the ellipsoid so that the gap is far above roundoff
+    # both carry souls
     n = 4
     rng = np.random.default_rng(60 + genus)
     Z = np.diag(rng.uniform(0.9, 1.3, genus)) * 1j + 0.1 * rng.standard_normal((genus, genus))
     Z = (Z + Z.T) / 2
     Z_soul = [[_random_soul(rng, n, 0.05) for _ in range(genus)] for _ in range(genus)]
-    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul, N=N,
+    ctx = ThetaContext(genus=genus, Z_red=Z, Z_soul=Z_soul,
                        characteristic="11" if genus == 1 else "0")
     body = rng.uniform(-0.3, 0.3, genus) + 1j * rng.uniform(-0.2, 0.2, genus)
     if shifted:
