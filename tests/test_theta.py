@@ -504,10 +504,12 @@ def test_soul_lattice_pass_makes_no_element_products(monkeypatch):
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 @pytest.mark.parametrize("shifted", [False, True])
-def test_tail_bound_covers_the_omitted_terms(genus, shifted):
+@pytest.mark.parametrize("N", [None])
+def test_tail_bound_covers_the_omitted_terms(genus, shifted, N):
     # the omitted terms, summed directly over the cube |n_i + shift_i| <= 9 less the kept
     # points, against the reported bound for every derivative of order <= 2; Z and z
-    # both carry souls
+    # both carry souls.  N = None: no lattice cap, the points are the ellipsoid of the
+    # proven radius (ThetaContext no longer takes a cap)
     n = 4
     rng = np.random.default_rng(60 + genus)
     Z = np.diag(rng.uniform(0.9, 1.3, genus)) * 1j + 0.1 * rng.standard_normal((genus, genus))
