@@ -19,7 +19,7 @@ from . import elliptic as ell
 from . import jacobian as jac
 from . import sgr
 from .errors import SupercurvesError
-from .grassmann import GrassmannScalar
+from .grassmann import GrassmannScalar, json_int
 from .supermatrix import SuperLinearSystem, SuperMatrix, berezinian, berezinian_star, \
     oracle_solve, quasideterminant, solve_cramer
 from .theta import ThetaContext, build_super_theta, check_multipliers, theta
@@ -73,13 +73,13 @@ def cmd_solve(args) -> None:
 def cmd_quasidet(args) -> None:
     data = _load_json(args.json)
     A = SuperMatrix.from_json(data["matrix"])
-    _emit({"value": quasideterminant(A, int(data["i"]), int(data["j"])).to_json()})
+    _emit({"value": quasideterminant(A, json_int(data["i"]), json_int(data["j"])).to_json()})
 
 
 def _theta_context(data) -> ThetaContext:
-    g = int(data["genus"])
+    g = json_int(data["genus"])
     Z_red = _complex_matrix(data["Z_red"])
-    n = int(data.get("n", 0))
+    n = json_int(data.get("n", 0))
     Z_soul = None
     if data.get("Z_soul"):
         Z_soul = _grid(data["Z_soul"], n)
@@ -92,17 +92,17 @@ def cmd_theta(args) -> None:
     data = _load_json(args.json)
     ctx = _theta_context(data)
     z = [_gs(v, ctx.n_gens) for v in data["z"]]
-    deriv = tuple(data["derivative"]) if data.get("derivative") else None
+    deriv = tuple(json_int(d) for d in data["derivative"]) if data.get("derivative") else None
     _emit({"value": theta(ctx, z, deriv=deriv).to_json()})
 
 
 def cmd_super_theta(args) -> None:
     data = _load_json(args.json)
     ctx = _theta_context(data)
-    n = max(ctx.n_gens, int(data.get("n", 0)))
+    n = max(ctx.n_gens, json_int(data.get("n", 0)))
     Z_o = _grid(data["Z_o"], n) if data.get("Z_o") else None
-    eta_gens = [int(i) for i in data["eta_generators"]]
-    f = build_super_theta(ctx, Z_o, [int(a) for a in data.get("alphas", [])],
+    eta_gens = [json_int(i) for i in data["eta_generators"]]
+    f = build_super_theta(ctx, Z_o, [json_int(a) for a in data.get("alphas", [])],
                           eta_gens=eta_gens, n_gens=n)
     z = [_gs(v, f.n_gens) for v in data["z"]]
     out = {"value": f.evaluate(z).to_json()}
@@ -112,8 +112,8 @@ def cmd_super_theta(args) -> None:
 
 
 def _period_data(data) -> jac.PeriodData:
-    n = int(data["n"])
-    g = int(data["g"])
+    n = json_int(data["n"])
+    g = json_int(data["g"])
     return jac.PeriodData(g=g, Z_e=_grid(data["Z_e"], n), Z_o=_grid(data["Z_o"], n), n=n)
 
 
@@ -132,7 +132,7 @@ def cmd_dual_cohomology(args) -> None:
 
 def cmd_bilinear_check(args) -> None:
     data = _load_json(args.json)
-    n = int(data.get("n", 0))
+    n = json_int(data.get("n", 0))
     a = [_gs(v, n) for v in data["a"]]
     b = [_gs(v, n) for v in data["b"]]
     ah = [_gs(v, n) for v in data["a_hat"]]
@@ -147,8 +147,8 @@ def cmd_rr(args) -> None:
 
 
 def _frame(data) -> sgr.TruncatedFrame:
-    window = sgr.TruncationWindow(int(data["window_M"]))
-    n = int(data["n"])
+    window = sgr.TruncationWindow(json_int(data["window_M"]))
+    n = json_int(data["n"])
     ent = _grid(data["frame"], n)
     return sgr.TruncatedFrame(window, n, ent)
 
@@ -182,7 +182,7 @@ def cmd_sgr_baker(args) -> None:
     if t.coeffs:
         frame = sgr.flowed_frame(frame, t)
     vec = sgr.baker_vectors(frame)
-    w_even, w_odd = sgr.baker_functions(frame)
+    w_even, w_odd = vec.functions()
 
     def sym_json(sym):
         return {f"z^{m}" + ("*theta" if tf else ""): c.to_json()

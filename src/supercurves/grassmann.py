@@ -353,12 +353,12 @@ class GrassmannScalar:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "GrassmannScalar":
-        n = int(data["n"])
+        n = json_int(data["n"])
         terms: Dict[int, complex] = {}
         for t in data.get("terms", []):
             mask = 0
             for i in t.get("mask", []):
-                mask |= 1 << (int(i) - 1)
+                mask |= 1 << (json_int(i) - 1)
             terms[mask] = terms.get(mask, 0j) + complex(float(t.get("re", 0.0)), float(t.get("im", 0.0)))
         return cls(n, terms)
 
@@ -375,6 +375,14 @@ class RealStructure:
 
     def __repr__(self):
         return f"RealStructure(epsilon={self.epsilon:+d})"
+
+
+def json_int(value) -> int:
+    """A count or index read from JSON: value when it is an int and not a bool, else ValueError;
+    int() would truncate 1.9 to 1, or overflow on the Infinity that Python's json reads."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 def as_grassmann(value: Union[Scalar, GrassmannScalar], n: int) -> GrassmannScalar:

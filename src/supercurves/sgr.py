@@ -33,16 +33,8 @@ import numpy as np
 from .errors import BigCellError, DimensionError, DomainError, NotInvertibleError, ParityError
 from .grassmann import (Grid, GrassmannScalar, array_elements, array_grid, array_mul, as_grassmann,
                         grid_array, parity_violations)
-from .supermatrix import (
-    SuperMatrix,
-    berezinian,
-    berezinian_star,
-    exp_element,
-    expand_left_map,
-    invert_matrix,
-    log_berezinian,
-    substitution_functional,
-)
+from .supermatrix import SuperMatrix, cramer_ratios, exp_element, expand_left_map, invert_matrix, \
+    log_berezinian
 
 SymbolKey = Tuple[int, int]          # (z power, theta flag)
 
@@ -392,12 +384,19 @@ class BakerVectors:
     w_odd_cramer: Dict[int, GrassmannScalar]
 
     def route_discrepancy(self) -> float:
+        """Largest coefficient of frame route minus Cramer route over every index d > 0 that
+        either route holds, a missing entry counting as zero (d <= 0 is the unit minus block)."""
         worst = 0.0
-        for d, v in self.w_even_cramer.items():
-            worst = max(worst, (self.w_even.get(d, v * 0) - v).norm_inf())
-        for d, v in self.w_odd_cramer.items():
-            worst = max(worst, (self.w_odd.get(d, v * 0) - v).norm_inf())
+        for frame_route, cramer in ((self.w_even, self.w_even_cramer),
+                                    (self.w_odd, self.w_odd_cramer)):
+            for d in frame_route.keys() | cramer.keys():
+                if d > 0:
+                    worst = max(worst, (frame_route.get(d, 0) - cramer.get(d, 0)).norm_inf())
         return worst
+
+    def functions(self) -> Tuple[Dict[SymbolKey, GrassmannScalar], Dict[SymbolKey, GrassmannScalar]]:
+        """The normalized-frame vectors as Laurent symbols, as ``baker_functions`` gives them."""
+        return _laurent((self.w_even, self.w_odd))
 
 
 def _normalized_columns(frame: TruncatedFrame) -> Tuple[Dict[int, GrassmannScalar],
@@ -411,39 +410,36 @@ def _normalized_columns(frame: TruncatedFrame) -> Tuple[Dict[int, GrassmannScala
     return tuple({d: e for d, e in zip(window.indices, col) if e.terms} for col in columns)
 
 
-def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
-    """Columns 0 and -1/2 of the normalized frame, with the Berezinian-ratio route.
+def _laurent(columns) -> Tuple[Dict[SymbolKey, GrassmannScalar], ...]:
+    """Window vectors {d: coefficient} as Laurent symbols via e_i = z^i, e_{i-1/2} = z^i theta."""
+    # e_i has d = 2i and e_{i-1/2} has d = 2i - 1: both give the key ((d + 1) // 2, d & 1)
+    return tuple({((d + 1) // 2, d & 1): v for d, v in col.items()} for col in columns)
 
-    Coefficient of e_i: ber(A_0(r_i))/ber(A) on the even column and
-    ber*(A_{-1/2}(r_i))/ber*(A) on the odd column.
+
+def baker_vectors(frame: TruncatedFrame) -> BakerVectors:
+    """Columns 0 and -1/2 of the normalized frame W A^-1 (A = W_-), and the same by Cramer's rule.
+
+    Row r_i of W_+ gives the coefficient of e_i, i > 0, as the solution x of
+    x A = r_i at the slots 0 and -1/2: ber(A_0(r_i))/ber(A) on the even
+    column and ber*(A_{-1/2}(r_i))/ber*(A) on the odd one.  That route is one
+    ``cramer_ratios`` call on all the rows, the rule ``solve_cramer`` runs,
+    and takes nothing from ``invert_matrix`` or ``big_cell_test``, which
+    normalize the frame for the other route.
     """
     w_even, w_odd = _normalized_columns(frame)
     window = frame.window
-    A = minus_block(frame)
     ordered, perm = _super_permutation(window)
-    ber_A_inv = berezinian(A).invert()
-    ber_star_A_inv = berezinian_star(A).invert()
     plus_rows = frame.array[:, 2 * window.M:][:, :, perm]  # rows i > 0, columns in super order
-    evens = substitution_functional(A, ordered.index(0), star=False)(plus_rows)
-    odds = substitution_functional(A, ordered.index(-1), star=True)(plus_rows)
-    w_even_c: Dict[int, GrassmannScalar] = {}
-    w_odd_c: Dict[int, GrassmannScalar] = {}
-    for d, e, o in zip(window.pos_indices, evens, odds):
-        ce = e * ber_A_inv
-        co = o * ber_star_A_inv
-        if ce.terms:
-            w_even_c[d] = ce
-        if co.terms:
-            w_odd_c[d] = co
+    x = cramer_ratios(minus_block(frame), [ordered.index(0), ordered.index(-1)], plus_rows)
+    w_even_c, w_odd_c = ({d: e for d, e in zip(window.pos_indices, array_elements(x[:, s], frame.n))
+                          if e.terms} for s in (0, 1))
     return BakerVectors(window, w_even, w_odd, w_even_c, w_odd_c)
 
 
 def baker_functions(frame: TruncatedFrame) -> Tuple[Dict[SymbolKey, GrassmannScalar],
                                                     Dict[SymbolKey, GrassmannScalar]]:
     """Baker vectors written as Laurent symbols via e_i = z^i, e_{i-1/2} = z^i theta."""
-    # e_i has d = 2i and e_{i-1/2} has d = 2i - 1: both give the key ((d + 1) // 2, d & 1)
-    return tuple({((d + 1) // 2, d & 1): v for d, v in col.items()}
-                 for col in _normalized_columns(frame))
+    return _laurent(_normalized_columns(frame))
 
 
 # -- Heisenberg flows and tau functions --------------------------------------------------
@@ -595,11 +591,14 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
                              phi: GrassmannScalar) -> dict:
     """Residuals of w(t; u, phi) = tau(t; Q)/tau(t) against the Baker vectors.
 
-    Even side: ber([Q_0 W_t]_-)/ber([W_t]_-) as an honest matrix computation.
-    Odd side: the ber*-row-substitution form of ber*([Q_1 W_t]_-) phi (the
-    d/dphi column acts on nothing but the substituted row, so it contracts to
-    two substituted Berezinians).  Both are compared coefficientwise with the
-    normalized-frame Baker functions evaluated at (u, phi).
+    Even side: ber([Q_0 W_t]_-)/ber([W_t]_-) as an honest matrix computation,
+    one exponential of a difference of ``log_berezinian`` vectors as in
+    ``tau``.  Odd side: the ber*-row-substitution form of
+    ber*([Q_1 W_t]_-)/ber*([W_t]_-) phi (the d/dphi column acts on nothing
+    but the substituted row, so it contracts to two substituted Berezinians),
+    one ``cramer_ratios`` call on the rows of every u.  Both are compared
+    coefficientwise with the normalized-frame Baker functions evaluated at
+    (u, phi).
     """
     window = frame.window
     n = frame.n
@@ -608,40 +607,27 @@ def baker_tau_quotient_check(frame: TruncatedFrame, t: HeisenbergElement,
     wt = flowed_frame(frame, t)
     w_even_sym, w_odd_sym = baker_functions(wt)  # raises BigCellError off the big cell
     At = minus_block(wt)
-    ber_At = berezinian(At)
-    ber_star_At = berezinian_star(At)
+    scale_W, L_W = log_berezinian(At)
 
     def eval_symbol(sym: Dict[SymbolKey, GrassmannScalar], u: complex) -> GrassmannScalar:
-        acc = GrassmannScalar.zero(n)
-        for (m, tflag), c in sym.items():
-            term = c * (u ** m)
-            if tflag:
-                term = term * phi
-            acc = acc + term
-        return acc
+        return sum((c * (u ** m) * phi if tflag else c * (u ** m) for (m, tflag), c in sym.items()),
+                   GrassmannScalar.zero(n))
 
+    # odd side: for each u the substituted rows r_-1/2 + sum_k u^k r_(k-1/2) and sum_k u^k r_k
+    coeffs = np.zeros((1 << n, 2 * len(u_values), len(window.indices)), dtype=complex)
+    for r, u in enumerate(u_values):
+        coeffs[0, 2 * r, window.pos(-1)] = 1.0
+        for k in range(1, window.M + 1):
+            coeffs[0, 2 * r, window.pos(2 * k - 1)] = coeffs[0, 2 * r + 1, window.pos(2 * k)] = u ** k
     ordered, perm = _super_permutation(window)
-    posm1 = ordered.index(-1)
-    sub_odd = substitution_functional(At, posm1, star=True)
-    size = len(window.indices)
+    odd = array_elements(cramer_ratios(At, [ordered.index(-1)],
+                                       array_mul(coeffs, wt.array, n)[:, :, perm])[:, 0], n)
 
     report = {"even": {}, "odd": {}, "max_residual": 0.0}
-    for u in u_values:
-        # even: full matrix route
-        q0w = _apply_q0(window, u, phi, wt)
-        lhs_even = berezinian(minus_block(q0w)) * ber_At.invert()
-        rhs_even = eval_symbol(w_even_sym, u)
-        res_e = (lhs_even - rhs_even).norm_inf()
-        # odd: substituted-row route for ber*([Q_1 W]_-) phi; the substituted
-        # rows are r_-1/2 + sum_k u^k r_(k-1/2) and sum_k u^k r_k
-        coeffs = np.zeros((1 << n, 2, size), dtype=complex)
-        coeffs[0, 0, window.pos(-1)] = 1.0
-        for k in range(1, window.M + 1):
-            coeffs[0, 0, window.pos(2 * k - 1)] = coeffs[0, 1, window.pos(2 * k)] = u ** k
-        ber_lambda, ber_deriv = sub_odd(array_mul(coeffs, wt.array, n)[:, :, perm])
-        lhs_odd = (ber_lambda * phi + ber_deriv) * ber_star_At.invert()
-        rhs_odd = eval_symbol(w_odd_sym, u)
-        res_o = (lhs_odd - rhs_odd).norm_inf()
+    for r, u in enumerate(u_values):
+        scale_Q, L_Q = log_berezinian(minus_block(_apply_q0(window, u, phi, wt)))
+        res_e = (exp_element(scale_Q / scale_W, L_Q - L_W, n) - eval_symbol(w_even_sym, u)).norm_inf()
+        res_o = (odd[2 * r] * phi + odd[2 * r + 1] - eval_symbol(w_odd_sym, u)).norm_inf()
         report["even"][u] = res_e
         report["odd"][u] = res_o
         report["max_residual"] = max(report["max_residual"], res_e, res_o)

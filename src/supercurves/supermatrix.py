@@ -12,7 +12,7 @@ monomial basis of the coefficient algebra.
 A ``SuperMatrix`` holds one complex array of shape (2^n, rows, cols), the
 layout of ``grassmann.grid_array``; products, sums, blocks, inverses and
 Berezinians work on that array.  Grids of elements appear only at the edge:
-the constructor, the ``entries``/``row``/``col`` views, JSON, and the public
+the constructor, the ``entries``/``row`` views, JSON, and the public
 functions that take raw grids or rows (``det_even`` on a grid,
 ``det_even_laplace``, the substituted rows, the right-hand side of the
 oracle).
@@ -21,9 +21,12 @@ A determinant or Berezinian is carried as det(body) times the coefficient
 vector of its nilpotent logarithm, read off the powers of body^-1 soul, and
 ends in one exponential of that vector: no element arithmetic runs inside.
 The factorization helpers take a single matrix or a stack (2^n, *batch, r, r)
-alike.  Cramer's rule uses that: the minors A^{ij} of one parity class, each
-row at its best-conditioned admissible column, are factored as one stack, and
-x_i = (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij})/ber(A) is one product per class.
+alike.  The super Cramer rule, ``cramer_ratios``, uses that: the minors
+A^{ij} of one parity class, each row at its best-conditioned admissible
+column, are factored as one stack, and x_i(y) = (-1)^{i+j} |A_i(y)|_{ij}
+ber(A^{ij})/ber(A) is one product per class over any number of rows y.
+``solve_cramer`` is one call of it, and so are the Cramer routes of
+``sgr.baker_vectors`` and of the odd side of ``sgr.baker_tau_quotient_check``.
 It takes nothing from ``invert_matrix(A)`` or y A^-1, the routes it is
 checked against, and the oracle takes nothing from the Berezinian code or
 the Lambda products.
@@ -39,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionError, NotInvertibleError, ParityError
 from .grassmann import (Grid, GrassmannScalar, array_elements, array_grid, array_mul, grid_array,
-                        parity_violations, sign_of_merge)
+                        json_int, parity_violations, sign_of_merge)
 
 Shape = Tuple[int, int]
 
@@ -121,9 +124,6 @@ class SuperMatrix:
     def row(self, i: int) -> List[GrassmannScalar]:
         return array_elements(self.array[:, i, :], self.n)
 
-    def col(self, j: int) -> List[GrassmannScalar]:
-        return array_elements(self.array[:, :, j], self.n)
-
     # -- arithmetic -----------------------------------------------------------
     def _require_same_algebra(self, other: "SuperMatrix") -> None:
         if self.n != other.n:
@@ -192,8 +192,8 @@ class SuperMatrix:
 
     @classmethod
     def from_json(cls, data) -> "SuperMatrix":
-        rows = tuple(int(x) for x in data["rows"])
-        cols = tuple(int(x) for x in data["cols"])
+        rows = tuple(json_int(x) for x in data["rows"])
+        cols = tuple(json_int(x) for x in data["cols"])
         ent = [[GrassmannScalar.from_json(e) for e in row] for row in data["entries"]]
         return cls(rows, cols, ent)
 
@@ -483,8 +483,6 @@ def _quasidet_functional(A: SuperMatrix, rows, cols):
     corr = array_mul(_inverse(binv, powers, n), A.array[:, keep_r, cols[:, None]][..., None], n)
 
     def evaluate(Y: np.ndarray) -> np.ndarray:
-        if Y.shape[2] != m:
-            raise DimensionError("substituted row has wrong length")
         rest = Y[:, :, keep_c].swapaxes(1, 2)
         return Y[:, :, cols].swapaxes(1, 2) - array_mul(rest, corr, n)[..., 0]
 
@@ -528,6 +526,23 @@ def _substitution(A: SuperMatrix, rows, columns, star: bool):
     return evaluate, np.where((rows + cols) & 1, -scale, scale), L
 
 
+def _ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar], j: int | None,
+                     star: bool) -> GrassmannScalar:
+    """ber(A_i(y)) (ber* when star, for i in the odd class) at column j, or without j at the
+    admissible column whose minor body is best conditioned."""
+    if (i >= A.row_shape[0]) != star:
+        raise ParityError(f"{'ber*' if star else 'ber'} substitution requires an "
+                          f"{'odd' if star else 'even'}-class row")
+    A.require_even()
+    if j is not None and not _same_class(A, i, j):
+        raise ParityError("substitution column in the wrong parity class")
+    columns = [c for c in range(A.ncols) if _same_class(A, i, c)] if j is None else [j]
+    evaluate, scale, L = _substitution(A, [i], columns, star)
+    factor = (scale * _exp(L, A.n))[:, :, None, None]
+    quasidet = evaluate(_row_array(y, A.nrows, A.n))[..., None]
+    return _element(array_mul(quasidet, factor, A.n)[:, 0, 0, 0], A.n)
+
+
 def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
                     j: int | None = None) -> GrassmannScalar:
     """ber(A_i(y)) for i in the even class, by linear substitution of y into row i.
@@ -537,36 +552,47 @@ def ber_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
     (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij}), which is independent of the admissible
     column j.
     """
-    if i >= A.row_shape[0]:
-        raise ParityError("ber substitution requires an even-class row")
-    return substitution_functional(A, i, j=j, star=False)(_row_array(y, A.nrows, A.n))[0]
+    return _ber_substituted(A, i, y, j, star=False)
 
 
 def ber_star_substituted(A: SuperMatrix, i: int, y: Sequence[GrassmannScalar],
                          j: int | None = None) -> GrassmannScalar:
     """ber*(A_i(y)) for i in the odd class (the odd-slot analog)."""
-    if i < A.row_shape[0]:
-        raise ParityError("ber* substitution requires an odd-class row")
-    return substitution_functional(A, i, j=j, star=True)(_row_array(y, A.nrows, A.n))[0]
+    return _ber_substituted(A, i, y, j, star=True)
 
 
-def substitution_functional(A: SuperMatrix, i: int, j: int | None = None, star: bool = False):
-    """Closure computing ber(A_i(y)) (or ber*) for arbitrary rows y.
+def cramer_ratios(A: SuperMatrix, slots: Sequence[int], Y: np.ndarray) -> np.ndarray:
+    """x_i(y) = ber(A_i(y))/ber(A) for even slots i, ber*(A_i(y))/ber*(A) for odd ones.
 
-    The closure takes the rows as a (2^n, rows, m) array and returns one
-    element per row.  Without j, the column is the admissible one whose minor
-    body is best conditioned.  The minor is factored and its Berezinian
-    formed once, so sweeping many substituted rows (as the Baker-vector
-    formulas do) costs one product for the quasideterminants and one for the
-    factor.
+    The super Cramer rule: x_i(y) is slot i of the solution of x A = y.  Y
+    holds rows y as a (2^n, R, m) array; the result is (2^n, len(slots), R),
+    the slots in the order given.  Each parity class is one stacked pass: its
+    minors A^{ij} are factored together, and x_i = (-1)^{i+j} |A_i(y)|_{ij}
+    ber(A^{ij})/ber(A) is one array product over the class and the rows,
+    with ber(A^{ij})/ber(A) (in the odd class ber*(A^{ij}) ber(A), since
+    ber* = 1/ber) one exponential of a coefficient difference.  Nothing is
+    taken from invert_matrix(A) or y A^-1, the routes Cramer is checked
+    against.
     """
-    A.require_even()
-    if j is not None and not _same_class(A, i, j):
-        raise ParityError("substitution column in the wrong parity class")
-    columns = [c for c in range(A.ncols) if _same_class(A, i, c)] if j is None else [j]
-    evaluate, scale, L = _substitution(A, [i], columns, star)
-    factor = (scale * _exp(L, A.n))[:, :, None, None]
-    return lambda Y: array_elements(array_mul(evaluate(Y)[..., None], factor, A.n)[:, 0, :, 0], A.n)
+    scale_A, L_A = log_berezinian(A)
+    L_A = L_A[:, None]  # broadcast over the slots of a class
+    n, k, m = A.n, A.row_shape[0], A.nrows
+    slots = np.asarray(slots, dtype=np.intp)
+    if ((slots < 0) | (slots >= m)).any():
+        raise DimensionError(f"slot outside a {m}x{m} matrix")
+    if Y.shape[0] != 1 << n or Y.shape[2:] != (m,):
+        raise DimensionError(f"substituted rows must be a (2^{n}, R, {m}) array")
+    out = np.zeros((1 << n, len(slots), Y.shape[1]), dtype=complex)
+    for chosen, star in ((slots < k, False), (slots >= k, True)):
+        if not chosen.any():
+            continue
+        evaluate, scale, L = _substitution(A, slots[chosen], range(k, m) if star else range(k), star)
+        if star:  # ber*(A^{ij}) / ber*(A) = ber*(A^{ij}) ber(A)
+            ratio = scale * scale_A * _exp(L + L_A, n)
+        else:
+            ratio = scale / scale_A * _exp(L - L_A, n)
+        out[:, chosen] = array_mul(evaluate(Y)[..., None], ratio[..., None, None], n)[..., 0]
+    return out
 
 
 # -- linear systems ----------------------------------------------------------------
@@ -586,33 +612,11 @@ class SuperLinearSystem:
 
 
 def solve_cramer(system: SuperLinearSystem) -> List[GrassmannScalar]:
-    """Solve x A = y via x_i = ber(A_i(y))/ber(A) (ber* in the odd slots).
-
-    Each parity class is one stacked pass: its minors A^{ij} are factored
-    together, and x_i = (-1)^{i+j} |A_i(y)|_{ij} ber(A^{ij})/ber(A) is one
-    array product over the class, with ber(A^{ij})/ber(A) (in the odd class
-    ber*(A^{ij}) ber(A), since ber* = 1/ber) one exponential of a
-    coefficient difference.  Nothing is taken from invert_matrix(A) or y A^-1,
-    the routes Cramer is checked against.
-    """
+    """Solve x A = y via x_i = ber(A_i(y))/ber(A) (ber* in the odd slots): ``cramer_ratios``
+    at every slot for the one row y."""
     A = system.matrix
-    A.require_even()
-    n, k, m = A.n, A.row_shape[0], A.nrows
-    Y = _row_array(system.rhs, m, n)
-    _require_invertible_body(A.array[0], "matrix body")
-    scale_A, L_A = _log_ber(A.array[:, None], k, False, n)  # a stack of one, to broadcast
-    out: List[GrassmannScalar] = []
-    for rows, star in ((range(k), False), (range(k, m), True)):
-        if not rows:
-            continue
-        evaluate, scale, L = _substitution(A, rows, rows, star)
-        if star:  # ber*(A^{ij}) / ber*(A) = ber*(A^{ij}) ber(A)
-            ratio = scale * scale_A * _exp(L + L_A, n)
-        else:
-            ratio = scale / scale_A * _exp(L - L_A, n)
-        x = array_mul(evaluate(Y)[..., None], ratio[..., None, None], n)
-        out.extend(array_elements(x[:, :, 0, 0], n))
-    return out
+    x = cramer_ratios(A, range(A.nrows), _row_array(system.rhs, A.nrows, A.n))
+    return array_elements(x[:, :, 0], A.n)
 
 
 def solve_via_inverse(system: SuperLinearSystem) -> List[GrassmannScalar]:

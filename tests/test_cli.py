@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -125,6 +126,27 @@ IDENTITY_FRAME = [[int(r == c) for c in range(4)] for r in range(8)]
     ("sgr-tau", {"n": 0, "frame": IDENTITY_FRAME}, 2),
     ("sgr-tau", {"window_M": 2, "n": 0, "frame": IDENTITY_FRAME, "flows": {"0": 0.1}}, 3),
     ("sgr-baker", {"window_M": 2, "n": 0, "frame": IDENTITY_FRAME, "flows": {"0": 0.1}}, 3),
+    # a count or index that is not a JSON integer is malformed, never truncated
+    ("quasidet", {"matrix": MATRIX_21, "i": 1.9, "j": 0.2}, 2),
+    ("quasidet", {"matrix": MATRIX_21, "i": True, "j": 0}, 2),
+    ("ber", {"matrix": dict(MATRIX_11, rows=[1.9, 1])}, 2),
+    ("ber", {"matrix": dict(MATRIX_11, entries=[[_element(2, ((), 1)), _element(2, ((1,), 1))],
+                                                [dict(_element(2, ((2,), 1)), n=2.9),
+                                                 _element(2, ((), 1))]])}, 2),
+    ("ber", {"matrix": dict(MATRIX_11, entries=[[_element(2, ((), 1)), _element(2, ((1.7,), 1))],
+                                                [_element(2, ((2,), 1)), _element(2, ((), 1))]])}, 2),
+    ("theta", {"genus": math.inf, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1]}, 2),
+    ("theta", {"genus": 1.0, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1]}, 2),
+    ("theta", {"genus": 1, "n": 2.5, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1]}, 2),
+    ("super-theta", {"genus": 2, "Z_red": Z_RED_2, "alphas": [0], "eta_generators": [0.5],
+                     "z": [0, 0]}, 2),
+    ("super-theta", {"genus": 2, "Z_red": Z_RED_2, "alphas": [0.5], "eta_generators": [0],
+                     "z": [0, 0]}, 2),
+    ("period-q", dict(RAGGED_PERIODS, g=2.5), 2),
+    ("bilinear-check", {"n": 1.5, "a": [1], "b": [1], "a_hat": [1], "b_hat": [1]}, 2),
+    ("sgr-tau", {"window_M": 2.5, "n": 0, "frame": IDENTITY_FRAME}, 2),
+    ("sgr-baker", {"window_M": 2, "n": 0.5, "frame": IDENTITY_FRAME}, 2),
+    ("theta", {"genus": 1, "Z_red": [[{"re": 0, "im": 1}]], "z": [0.1], "derivative": [True]}, 2),
 ])
 def test_bad_requests_exit_2_or_3(command, request_, code, tmp_path, capsys):
     # an exception that escaped main would print a traceback and exit 1
@@ -134,6 +156,24 @@ def test_bad_requests_exit_2_or_3(command, request_, code, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("domain error: " if code == 3 else "input error: ")
+
+
+def test_sgr_baker_normalizes_the_frame_once(monkeypatch, capsys, tmp_path):
+    from supercurves import sgr
+
+    calls = []
+    original = sgr.big_cell_test
+
+    def counted(frame):
+        calls.append(frame)
+        return original(frame)
+
+    monkeypatch.setattr(sgr, "big_cell_test", counted)
+    request = {"window_M": 2, "n": 0, "frame": IDENTITY_FRAME}
+    assert main(["sgr-baker", "--json", _write_json(tmp_path / "request.json", request)]) == 0
+    assert len(calls) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["w_even"] == {"z^0": {"n": 0, "terms": [{"im": 0.0, "mask": [], "re": 1.0}]}}
 
 
 def test_deterministic_output():

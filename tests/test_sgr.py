@@ -436,6 +436,33 @@ def test_flowed_frame_baker_polynomial_in_flow(banded_frame):
         assert vec.route_discrepancy() < 1e-9
 
 
+def test_route_discrepancy_sees_a_missing_route(banded_frame):
+    # every index d > 0 either route holds is compared, a missing entry reading as zero
+    vec = sgr.baker_vectors(banded_frame)
+    lost = sgr.BakerVectors(vec.window, vec.w_even, vec.w_odd, {}, {})
+    largest = max(v.norm_inf() for w in (vec.w_even, vec.w_odd) for d, v in w.items() if d > 0)
+    assert largest > 0.01
+    assert lost.route_discrepancy() == largest
+    swapped = sgr.BakerVectors(vec.window, {}, {}, vec.w_even_cramer, vec.w_odd_cramer)
+    assert swapped.route_discrepancy() > 0.01
+
+
+def test_baker_routes_invert_no_element(banded_frame, monkeypatch):
+    # both Cramer routes are Berezinian ratios of coefficient vectors, not element inverses
+    t = sgr.HeisenbergElement(N, {2: g(0.16 + 0.08j), 1: mono([0], 0.25)})
+    want = (sgr.baker_vectors(banded_frame),
+            sgr.baker_tau_quotient_check(banded_frame, t, [0.1, 0.2], mono([3], 0.8)))
+
+    def forbidden(self):
+        raise AssertionError("element inverse inside a Baker route")
+
+    monkeypatch.setattr(GrassmannScalar, "invert", forbidden)
+    vec = sgr.baker_vectors(banded_frame)
+    rep = sgr.baker_tau_quotient_check(banded_frame, t, [0.1, 0.2], mono([3], 0.8))
+    assert vec.route_discrepancy() == want[0].route_discrepancy() < 1e-9
+    assert rep == want[1]
+
+
 def test_baker_functions_leading_structure(banded_frame):
     w_even, w_odd = sgr.baker_functions(banded_frame)
     assert (w_even[(0, 0)] - g(1)).norm_inf() < 1e-12
@@ -450,6 +477,7 @@ def test_baker_functions_are_symbols_of_baker_vectors(banded_frame):
     # e_i = z^i (d = 2i) and e_{i-1/2} = z^i theta (d = 2i - 1)
     assert w_even == {((d + 1) // 2, d & 1): v for d, v in vec.w_even.items()}
     assert w_odd == {((d + 1) // 2, d & 1): v for d, v in vec.w_odd.items()}
+    assert vec.functions() == (w_even, w_odd)
 
 
 def test_baker_requires_big_cell(window):

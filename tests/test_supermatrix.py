@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supercurves.errors import DimensionError, NotInvertibleError, ParityError
-from supercurves.grassmann import GrassmannScalar
+from supercurves.grassmann import GrassmannScalar, grid_array
 from supercurves.supermatrix import (
     SuperLinearSystem,
     SuperMatrix,
@@ -13,6 +13,7 @@ from supercurves.supermatrix import (
     ber_substituted,
     berezinian,
     berezinian_star,
+    cramer_ratios,
     det_even,
     det_even_laplace,
     invert_matrix,
@@ -332,6 +333,22 @@ def test_cramer_three_routes_and_residual(rng):
             assert (a - b).norm_inf() < 1e-9
         for a, b in zip(apply_row_vector(xc, A), y):
             assert (a - b).norm_inf() < 1e-9
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2), (3, 3)], ids=str)
+def test_cramer_ratios_on_many_rows_match_the_inverse(rng, shape):
+    # R = 3 rows at once; the last (odd-class) slot comes first, so the classes interleave
+    n = 4
+    m = sum(shape)
+    A = random_even_matrix(rng, shape, n)
+    rows = [random_vector(rng, m, n) for _ in range(3)]
+    slots = [m - 1] + list(range(m - 1))
+    got = cramer_ratios(A, slots, grid_array(rows, m, n))
+    assert got.shape == (1 << n, m, 3)
+    for r, y in enumerate(rows):
+        want = solve_via_inverse(SuperLinearSystem(A, y))
+        for t, i in enumerate(slots):
+            assert np.abs(got[:, t, r] - want[i].coeffs()).max() < 1e-9
 
 
 def test_substituted_ber_column_independence(rng):
